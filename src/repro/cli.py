@@ -184,9 +184,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards",
         type=int,
         metavar="K",
-        help="partition the view graph into K node-range shards and run "
-        "the sharded evaluator (answers are identical to the default "
-        "engine; needs K >= 2 to take effect)",
+        help="cut the view graph's nodes into K node-range shards and run "
+        "the all-pairs sweep once per shard of sources (answers are "
+        "identical to the default engine; needs K >= 2 to take effect)",
     )
     answer.add_argument(
         "--workers",

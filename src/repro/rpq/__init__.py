@@ -15,9 +15,10 @@ view-based rewriting/answering:
 * :func:`rewrite_rpq` — the Section 4.2 rewriting algorithm (Theorem 4.2),
   with the grounding-free product optimization and constant partitioning;
 * :func:`find_partial_rpq_rewritings` — Section 4.3 partial rewritings;
-* :class:`ShardedGraphDB` / :class:`ParallelEvaluator` — the scale-out
-  layer (:mod:`repro.rpq.sharded`): node-range graph shards with explicit
-  cut-edge frontiers and an exact shard-parallel all-pairs sweep;
+* :class:`ParallelEvaluator` — the scale-out layer
+  (:mod:`repro.rpq.sharded`): the all-pairs sweep cut into contiguous
+  source windows over one frozen snapshot, exact for every shard and
+  worker count;
 * :func:`make_workload` and friends (:mod:`repro.rpq.workload`) — seeded
   graph families (chain, grid, scale-free, layered DAG) with matching
   query/view mixes and seeded update streams
@@ -70,7 +71,7 @@ from .partial import (
 )
 from .query import RPQ
 from .rewriting import STRATEGIES, RPQRewritingResult, rewrite_rpq
-from .sharded import ParallelEvaluator, ShardedEvaluationError, ShardedGraphDB
+from .sharded import ParallelEvaluator, ShardedEvaluationError
 from .theory import Theory
 from .views import RPQViews, view_graph
 from .workload import (
@@ -104,7 +105,6 @@ __all__ = [
     "naive_evaluate",
     "naive_ans",
     "ParallelEvaluator",
-    "ShardedGraphDB",
     "ShardedEvaluationError",
     "DeltaSweepState",
     "FAMILIES",

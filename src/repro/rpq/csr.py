@@ -19,8 +19,8 @@ header (labels, shapes, offsets) followed by 64-byte-aligned raw array
 data.  ``load(path, mmap=True)`` returns a snapshot whose arrays are
 read-only views into one :func:`numpy.memmap` — worker processes of
 :class:`~repro.rpq.sharded.ParallelEvaluator` map the same file
-zero-copy instead of unpickling per-worker edge dicts, so shipping a
-refreshed snapshot costs one path string per task.
+zero-copy on either backend, so shipping a refreshed snapshot costs one
+path string per task.
 
 Node ids beyond the last edge-bearing node are representable by
 construction: ``num_nodes`` is the graph's interning count, not the
@@ -136,6 +136,7 @@ class CSRSnapshot:
         "_by_label",
         "_plans",
         "_bitmaps",
+        "_out_index",
     )
 
     def __init__(
@@ -151,6 +152,7 @@ class CSRSnapshot:
         self._by_label = by_label
         self._plans: dict[Hashable, _GatherPlan] = {}
         self._bitmaps: dict[tuple, np.ndarray] = {}
+        self._out_index: dict[Hashable, dict[int, list[int]]] = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -167,19 +169,16 @@ class CSRSnapshot:
                 adjacency.keys(), dtype=np.int64, count=len(adjacency)
             )
             counts = np.fromiter(
-                (len(targets) for targets in adjacency.values()),
+                map(len, adjacency.values()),
                 dtype=np.int64,
                 count=len(adjacency),
             )
-            total = int(counts.sum())
             src = np.repeat(source_ids, counts)
-            dst = np.empty(total, dtype=np.int64)
-            cursor = 0
-            for targets in adjacency.values():
-                dst[cursor : cursor + len(targets)] = np.fromiter(
-                    targets, dtype=np.int64, count=len(targets)
-                )
-                cursor += len(targets)
+            dst = np.fromiter(
+                itertools.chain.from_iterable(adjacency.values()),
+                dtype=np.int64,
+                count=int(counts.sum()),
+            )
             forward = np.lexsort((dst, src))
             out_indptr = np.zeros(num_nodes + 1, dtype=np.int64)
             np.cumsum(
@@ -262,6 +261,32 @@ class CSRSnapshot:
             bitmap.reshape(-1)[words[starts]] = folded
         self._bitmaps[key] = bitmap
         return bitmap
+
+    def label_out_index(self, label: Hashable) -> dict[int, list[int]]:
+        """``source_id -> target ids`` for one label, memoized.
+
+        The read-only twin of :meth:`GraphDB.label_out_index` — all the
+        big-int sweep reads of a graph — so
+        ``engine._sweep_to_fixpoint`` runs over a frozen (possibly
+        mmapped) snapshot exactly as it does over the live graph.
+        """
+        index = self._out_index.get(label)
+        if index is None:
+            label_csr = self._by_label.get(label)
+            if label_csr is None:
+                return {}
+            indptr = label_csr.out_indptr
+            sources = np.flatnonzero(np.diff(indptr))
+            targets = label_csr.out_indices.tolist()
+            index = self._out_index[label] = {
+                v: targets[start:stop]
+                for v, start, stop in zip(
+                    sources.tolist(),
+                    indptr[sources].tolist(),
+                    indptr[sources + 1].tolist(),
+                )
+            }
+        return index
 
     def out_neighbors(self, label: Hashable, node_id: int) -> np.ndarray:
         label_csr = self._by_label.get(label)

@@ -352,45 +352,55 @@ def evaluate_all_sorted(
 
 
 def _seed_all_pairs(
-    db: GraphDB, compiled: CompiledAutomaton
+    db, compiled: CompiledAutomaton, lo: int = 0, hi: int | None = None
 ) -> tuple[dict[int, list[int]], dict[int, dict[int, int]], list[int]]:
-    """Fresh ``(reached, frontier, answer_masks)`` for a full sweep.
+    """Fresh ``(reached, frontier, answer_masks)`` for sources in ``[lo, hi)``.
 
     ``reached[state][node_id]`` is the bitmask of source ids known to
-    reach the ``(state, node)`` product point; the frontier carries the
-    seed deltas of the first round; ``answer_masks[node]`` starts at the
-    epsilon answers (the diagonal) when the automaton accepts the empty
-    word.  Shared by :func:`_all_pairs_ids` and by
+    reach the ``(state, node)`` product point, re-based to the window
+    (bit ``j`` is source ``lo + j``, so masks are ``hi - lo`` bits wide
+    however large the graph); the frontier carries the seed deltas of
+    the first round; ``answer_masks[node]`` starts at the epsilon answers
+    (the window's diagonal) when the automaton accepts the empty word.
+    The default window is the whole graph — the monolithic sweep of
+    :func:`_all_pairs_ids` and of
     :class:`repro.rpq.incremental.DeltaSweepState`, whose retained state
     is exactly this triple after :func:`_sweep_to_fixpoint` drained the
-    frontier.
+    frontier; :class:`repro.rpq.sharded.ParallelEvaluator` passes one
+    shard's range.  ``db`` is anything with ``num_nodes`` and
+    ``label_out_index`` (a :class:`GraphDB` or a frozen
+    :class:`~repro.rpq.csr.CSRSnapshot`).
     """
     num_nodes = db.num_nodes
-    bits = [1 << v for v in range(num_nodes)]
+    if hi is None:
+        hi = num_nodes
     reached: dict[int, list[int]] = {}
     frontier: dict[int, dict[int, int]] = {}
     for state in compiled.initials:
         # Seed only sources with an out-edge matching this state's row:
         # any other source can contribute nothing beyond the epsilon answer.
-        row = compiled.table.get(state)
-        seeds: set[int] = set()
-        if row:
-            for label in row:
-                seeds.update(db.label_out_index(label))
         state_reached = [0] * num_nodes
         bucket: dict[int, int] = {}
-        for v in seeds:
-            state_reached[v] = bits[v]
-            bucket[v] = bits[v]
+        for label in compiled.table.get(state, ()):
+            sources = db.label_out_index(label)
+            if hi - lo < len(sources):  # scan the smaller side
+                seeds = [v for v in range(lo, hi) if v in sources]
+            else:
+                seeds = [v for v in sources if lo <= v < hi]
+            for v in seeds:
+                state_reached[v] = bucket[v] = 1 << (v - lo)
         reached[state] = state_reached
         if bucket:
             frontier[state] = bucket
-    answer_masks = list(bits) if compiled.accepts_epsilon else [0] * num_nodes
+    answer_masks = [0] * num_nodes
+    if compiled.accepts_epsilon:
+        for v in range(lo, hi):
+            answer_masks[v] = 1 << (v - lo)
     return reached, frontier, answer_masks
 
 
 def _sweep_to_fixpoint(
-    db: GraphDB,
+    db,
     compiled: CompiledAutomaton,
     reached: dict[int, list[int]],
     frontier: dict[int, dict[int, int]],
@@ -404,7 +414,9 @@ def _sweep_to_fixpoint(
     :func:`_seed_all_pairs` or from the inserted-edge deltas of an
     incremental update, the masks saturate to the same least fixpoint
     (semi-naive evaluation is confluent), which is what makes
-    delta-driven re-evaluation bit-identical to a full recompute.
+    delta-driven re-evaluation bit-identical to a full recompute.  Of
+    ``db`` only ``label_out_index`` is read, so a frozen snapshot sweeps
+    exactly like the live graph it was taken from.
     """
     finals = compiled.finals
     while frontier:
@@ -456,13 +468,16 @@ def _sweep_to_fixpoint(
         }
 
 
-def _decode_answer_masks(answer_masks: list[int]) -> list[tuple[int, int]]:
-    """Unpack per-target source bitmasks into dense-id pairs (unordered)."""
+def _decode_answer_masks(
+    target_masks: Iterable[tuple[int, int]], lo: int = 0
+) -> list[tuple[int, int]]:
+    """Unpack ``(target_id, source bitmask)`` items into dense-id pairs
+    (unordered); bit ``j`` of a mask is source ``lo + j``."""
     id_pairs: list[tuple[int, int]] = []
-    for target_id, mask in enumerate(answer_masks):
+    for target_id, mask in target_masks:
         while mask:
             low_bit = mask & -mask
-            id_pairs.append((low_bit.bit_length() - 1, target_id))
+            id_pairs.append((low_bit.bit_length() - 1 + lo, target_id))
             mask ^= low_bit
     return id_pairs
 
@@ -485,7 +500,7 @@ def _all_pairs_ids(
         return _kernel.all_pairs_ids(db.to_csr(), compiled)
     reached, frontier, answer_masks = _seed_all_pairs(db, compiled)
     _sweep_to_fixpoint(db, compiled, reached, frontier, answer_masks)
-    return _decode_answer_masks(answer_masks)
+    return _decode_answer_masks(enumerate(answer_masks))
 
 
 def evaluate_single_source(

@@ -48,7 +48,7 @@ class GraphDB:
         # equality of two observations of the same instance.  Consumed
         # by the CSR snapshot cache below and by
         # :meth:`repro.rpq.sharded.ParallelEvaluator.refresh` to skip
-        # re-partitioning after no-op updates.
+        # re-freezing after no-op updates.
         self._mutations = 0
         self._csr_cache = None
         self._csr_cache_mutations = -1

@@ -436,7 +436,7 @@ class DeltaSweepState:
 
     def answer_ids(self) -> list[tuple[int, int]]:
         """The current answers as dense-id pairs (unordered)."""
-        return _engine._decode_answer_masks(self.answer_masks)
+        return _engine._decode_answer_masks(enumerate(self.answer_masks))
 
     def answers(self) -> frozenset[Pair]:
         """The current answer set, decoded to node objects."""

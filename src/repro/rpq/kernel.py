@@ -76,7 +76,7 @@ def sweep_window(
     to the whole graph; :class:`repro.rpq.sharded.ParallelEvaluator`
     passes one shard's range per task, which keeps each task's matrices
     a factor ``k`` narrower (the same mask-width saving the big-int
-    shard kernel gets from re-based masks).
+    sweep gets from ``engine._seed_all_pairs(lo, hi)``).
 
     With ``reached_out`` (a dict), the settled per-state ``(num_nodes,
     B)`` matrices are handed back to the caller after the fixpoint —
@@ -238,7 +238,7 @@ def decode_matrix(
 
 def matrix_to_masks(answers: np.ndarray) -> dict[int, int]:
     """Collapse an answer matrix to ``{target_id: int mask}`` (nonzero
-    rows only) — the result shape of the big-int shard kernel, so the
+    rows only) — the result shape of the windowed big-int sweep, so the
     sharded merge path is backend-agnostic."""
     masks: dict[int, int] = {}
     for target in np.flatnonzero(answers.any(axis=1)):

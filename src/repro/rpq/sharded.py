@@ -1,38 +1,32 @@
 """Sharded, parallel RPQ evaluation (the scale-out layer over the engine).
 
 :mod:`repro.rpq.engine` answers all-pairs queries in one macro-frontier
-sweep whose source sets are packed into ``num_nodes``-bit integers.  That
+sweep whose source sets are packed into ``num_nodes``-bit masks.  That
 is the fastest *single* sweep this repo knows, but it leaves two axes on
-the table: multiple cores, and the width of those big-int masks.  This
-module adds both:
-
-* :class:`ShardedGraphDB` partitions a label-indexed
-  :class:`~repro.rpq.graphdb.GraphDB` into ``k`` contiguous node-range
-  shards.  Each shard owns its nodes and every edge *leaving* them; edges
-  whose target lives in another shard are kept apart as **cut edges**,
-  grouped by destination shard — the explicit frontier a distributed
-  implementation would ship over the wire.
-
-* :class:`ParallelEvaluator` decomposes the all-pairs product sweep **by
-  the shard owning the source node**: task ``i`` computes every answer
-  pair ``(x, y)`` whose ``x`` lies in shard ``i``'s id range.  Because
-  ranges are contiguous, task ``i``'s source sets pack into
-  ``(hi - lo)``-bit masks instead of ``num_nodes``-bit masks — big-int
-  work per product-edge crossing drops by a factor of ``k`` — and the
-  tasks share nothing, so they run unchanged in a process pool.  Within
-  a task the sweep walks the graph shard by shard: frontiers are kept
-  partitioned by owning shard, expansion through a shard uses its
-  internal adjacency, and deltas crossing a cut edge are *stitched* into
-  the destination shard's slice of the next frontier.
+the table: multiple cores, and the width of those masks.
+:class:`ParallelEvaluator` takes both with one mechanism — **source
+windows**.  The node ids are cut into ``k`` contiguous ranges
+(:func:`shard_bounds`), and task ``i`` runs the very same sweep seeded
+only with the sources in ``[lo, hi)``: it computes every answer pair
+``(x, y)`` whose ``x`` lies in its range, over the *whole* graph.
+Because a window's source sets pack into ``(hi - lo)``-bit masks instead
+of ``num_nodes``-bit ones, the mask work per product-edge crossing drops
+by a factor of ``k`` — and the tasks share nothing, so they run
+unchanged in a process pool.  Nothing is partitioned but the sources:
+every task reads one frozen :class:`~repro.rpq.csr.CSRSnapshot` (mmapped
+from a single file in pool workers), the big-int backend through
+``engine._sweep_to_fixpoint`` and the numpy backend through
+``kernel.sweep_window``.
 
 Exactness and determinism are non-negotiable: for every shard count,
-worker count, and entry point, results are **bit-identical** to the
-single-shard engine (and to ``naive_evaluate``) — the pool path returns
-per-shard data merged in shard order, and the sequential fallback (used
-when ``workers <= 1`` or when process pools are unavailable in the host
-environment) runs the very same per-shard kernel in a plain loop.  The
-randomized differential harness in ``tests/rpq/test_sharded_differential``
-holds all three entry points to that contract on every workload family.
+worker count, backend and entry point, results are **bit-identical** to
+the single-window engine (and to ``naive_evaluate``) — the pool path
+returns per-window masks merged in window order, and the sequential
+fallback (used when ``workers <= 1`` or when process pools are
+unavailable in the host environment) runs the very same
+:func:`_sweep_window` in a plain loop.  The randomized differential
+harness in ``tests/rpq/test_sharded_differential`` holds all three entry
+points to that contract on every workload family.
 
 Ordering guarantee: :meth:`ParallelEvaluator.evaluate_all_sorted` (like
 :func:`repro.rpq.engine.evaluate_all_sorted`) returns answers sorted by
@@ -46,15 +40,15 @@ from __future__ import annotations
 import os
 import shutil
 import tempfile
+import weakref
 from bisect import bisect_right
-from typing import Hashable, Iterable, Mapping
+from typing import Hashable, Iterable
 
 from . import engine as _engine
 from .engine import CompiledAutomaton
 from .graphdb import GraphDB
 
 __all__ = [
-    "ShardedGraphDB",
     "ParallelEvaluator",
     "ShardedEvaluationError",
 ]
@@ -74,519 +68,109 @@ class ShardedEvaluationError(RuntimeError):
 
 
 def shard_bounds(num_nodes: int, num_shards: int) -> list[int]:
-    """The contiguous node-range partition used by every shard backend."""
+    """The contiguous node-range partition: window ``i`` is
+    ``[bounds[i], bounds[i + 1])``.  With ``num_shards > num_nodes`` some
+    windows are empty; with one shard the window is the whole graph."""
     if num_shards < 1:
         raise ValueError(f"need at least one shard, got {num_shards}")
     return [(i * num_nodes) // num_shards for i in range(num_shards + 1)]
 
 
-class _Shard:
-    """One node range plus the edges leaving it.
-
-    ``internal[label][source_id]`` is the set of targets *inside* this
-    shard; ``cut[label][source_id]`` is a tuple of
-    ``(destination_shard, targets)`` groups for edges leaving the shard
-    (grouped so the sweep can stitch a whole delta into the destination
-    shard's frontier without re-deriving ownership per edge).
-    """
-
-    __slots__ = (
-        "index",
-        "lo",
-        "hi",
-        "internal",
-        "cut",
-        "num_internal_edges",
-        "num_cut_edges",
-    )
-
-    def __init__(self, index: int, lo: int, hi: int):
-        self.index = index
-        self.lo = lo
-        self.hi = hi
-        self.internal: dict[Hashable, dict[int, set[int]]] = {}
-        self.cut: dict[Hashable, dict[int, tuple[tuple[int, tuple[int, ...]], ...]]] = {}
-        self.num_internal_edges = 0
-        self.num_cut_edges = 0
-
-    @property
-    def num_nodes(self) -> int:
-        return self.hi - self.lo
-
-    def __repr__(self) -> str:
-        return (
-            f"_Shard({self.index}, nodes=[{self.lo},{self.hi}), "
-            f"internal={self.num_internal_edges}, cut={self.num_cut_edges})"
-        )
-
-
-class ShardedGraphDB:
-    """A :class:`GraphDB` partitioned into ``k`` contiguous node ranges.
-
-    Shard ``i`` owns node ids in ``[bounds[i], bounds[i+1])`` and all
-    edges whose *source* it owns.  The partition copies the label-first
-    indexes into per-shard structures (the original database is not
-    mutated and is not referenced afterwards, so a ``ShardedGraphDB`` is
-    a self-contained, picklable snapshot — exactly what a worker process
-    needs).  With ``k > num_nodes`` some shards are empty; with ``k = 1``
-    there are no cut edges and the partition is the whole graph.
-    """
-
-    __slots__ = ("num_shards", "num_nodes", "bounds", "shards")
-
-    def __init__(self, db: GraphDB, num_shards: int):
-        if num_shards < 1:
-            raise ValueError(f"need at least one shard, got {num_shards}")
-        num_nodes = db.num_nodes
-        self.num_shards = num_shards
-        self.num_nodes = num_nodes
-        self.bounds = shard_bounds(num_nodes, num_shards)
-        bounds = self.bounds
-        shards = [
-            _Shard(i, bounds[i], bounds[i + 1]) for i in range(num_shards)
-        ]
-        self.shards = shards
-        owner = self.owner
-        for label in db.domain():
-            for source_id, targets in db.label_out_index(label).items():
-                shard = shards[owner(source_id)]
-                internal: set[int] = set()
-                crossing: dict[int, list[int]] = {}
-                for target_id in targets:
-                    dest = owner(target_id)
-                    if dest == shard.index:
-                        internal.add(target_id)
-                    else:
-                        crossing.setdefault(dest, []).append(target_id)
-                if internal:
-                    shard.internal.setdefault(label, {})[source_id] = internal
-                    shard.num_internal_edges += len(internal)
-                if crossing:
-                    shard.cut.setdefault(label, {})[source_id] = tuple(
-                        (dest, tuple(sorted(ids)))
-                        for dest, ids in sorted(crossing.items())
-                    )
-                    shard.num_cut_edges += sum(
-                        len(ids) for ids in crossing.values()
-                    )
-
-    def owner(self, node_id: int) -> int:
-        """The index of the shard owning ``node_id``."""
-        if not 0 <= node_id < self.num_nodes:
-            raise IndexError(f"node id {node_id} out of range")
-        return bisect_right(self.bounds, node_id) - 1
-
-    @property
-    def num_internal_edges(self) -> int:
-        return sum(shard.num_internal_edges for shard in self.shards)
-
-    @property
-    def num_cut_edges(self) -> int:
-        """How many edges cross a shard boundary under this partition."""
-        return sum(shard.num_cut_edges for shard in self.shards)
-
-    @property
-    def num_edges(self) -> int:
-        return self.num_internal_edges + self.num_cut_edges
-
-    def shard_sizes(self) -> list[int]:
-        return [shard.num_nodes for shard in self.shards]
-
-    def __repr__(self) -> str:
-        return (
-            f"ShardedGraphDB(shards={self.num_shards}, "
-            f"nodes={self.num_nodes}, internal={self.num_internal_edges}, "
-            f"cut={self.num_cut_edges})"
-        )
-
-
-# ----------------------------------------------------------------------
-# The per-shard sweep kernels (top-level functions: picklable pool tasks)
-# ----------------------------------------------------------------------
-
-
-def _hot_entries(adjacency, node_sources):
-    """Frontier-vs-adjacency intersection, scanning the smaller side."""
-    if not adjacency:
-        return ()
-    if len(adjacency) < len(node_sources):
-        return [
-            (adjacency[v], node_sources[v]) for v in adjacency if v in node_sources
-        ]
-    return [
-        (adjacency[v], sources)
-        for v, sources in node_sources.items()
-        if v in adjacency
-    ]
-
-
-def _sweep_shard(
-    sharded: ShardedGraphDB,
-    compiled: CompiledAutomaton,
-    shard_index: int,
-    fail_shards: frozenset[int] = frozenset(),
-) -> dict[int, int]:
-    """All-pairs product sweep for the sources owned by one shard.
-
-    Returns ``{target_id: mask}`` where bit ``s`` of ``mask`` set means
-    ``(node lo + s, target)`` is an answer — masks are re-based to the
-    shard's own range ``[lo, hi)``, which is where the factor-``k``
-    big-int saving over the monolithic sweep comes from.
-
-    ``fail_shards`` is fault injection for the crash-recovery tests: the
-    kernel raises before touching any state, as a crashing worker would.
-    """
-    if shard_index in fail_shards:
-        raise RuntimeError(
-            f"injected fault: worker died sweeping shard {shard_index}"
-        )
-    bounds = sharded.bounds
-    lo, hi = bounds[shard_index], bounds[shard_index + 1]
-    answers: dict[int, int] = {}
-    if compiled.accepts_epsilon:
-        for v in range(lo, hi):
-            answers[v] = 1 << (v - lo)
-    if lo == hi or not compiled.initials:
-        return answers
-    table = compiled.table
-    finals = compiled.finals
-    shards = sharded.shards
-    num_nodes = sharded.num_nodes
-    own = shards[shard_index]
-
-    # reached[state][node_id] = mask (over this shard's sources) known to
-    # reach the (state, node) product point; frontier slices are keyed by
-    # the shard owning their nodes.
-    reached: dict[int, list[int]] = {}
-    frontier: dict[int, dict[int, dict[int, int]]] = {}
-    for state in compiled.initials:
-        row = table.get(state)
-        if not row:
-            continue
-        seeds: set[int] = set()
-        for label in row:
-            internal = own.internal.get(label)
-            if internal:
-                seeds.update(internal)
-            cut = own.cut.get(label)
-            if cut:
-                seeds.update(cut)
-        if not seeds:
-            continue
-        state_reached = reached.get(state)
-        if state_reached is None:
-            state_reached = reached[state] = [0] * num_nodes
-        bucket: dict[int, int] = {}
-        for v in seeds:
-            bit = 1 << (v - lo)
-            state_reached[v] |= bit
-            bucket[v] = state_reached[v]
-        frontier[state] = {shard_index: bucket}
-
-    while frontier:
-        next_frontier: dict[int, dict[int, dict[int, int]]] = {}
-        for state, by_shard in frontier.items():
-            row = table.get(state)
-            if not row:
-                continue
-            for here, node_sources in by_shard.items():
-                shard = shards[here]
-                for label, next_states in row.items():
-                    hot = _hot_entries(shard.internal.get(label), node_sources)
-                    hot_cut = _hot_entries(shard.cut.get(label), node_sources)
-                    if not hot and not hot_cut:
-                        continue
-                    for next_state in next_states:
-                        state_reached = reached.get(next_state)
-                        if state_reached is None:
-                            state_reached = reached[next_state] = [0] * num_nodes
-                        by_dest = next_frontier.get(next_state)
-                        if by_dest is None:
-                            by_dest = next_frontier[next_state] = {}
-                        is_final = next_state in finals
-                        if hot:
-                            bucket = by_dest.get(here)
-                            if bucket is None:
-                                bucket = by_dest[here] = {}
-                            for targets, sources in hot:
-                                for w in targets:
-                                    delta = sources & ~state_reached[w]
-                                    if not delta:
-                                        continue
-                                    state_reached[w] |= delta
-                                    if w in bucket:
-                                        bucket[w] |= delta
-                                    else:
-                                        bucket[w] = delta
-                                    if is_final:
-                                        if w in answers:
-                                            answers[w] |= delta
-                                        else:
-                                            answers[w] = delta
-                        for groups, sources in hot_cut:
-                            # Stitch: each group lands in the destination
-                            # shard's slice of the next frontier.
-                            for dest, targets in groups:
-                                bucket = by_dest.get(dest)
-                                if bucket is None:
-                                    bucket = by_dest[dest] = {}
-                                for w in targets:
-                                    delta = sources & ~state_reached[w]
-                                    if not delta:
-                                        continue
-                                    state_reached[w] |= delta
-                                    if w in bucket:
-                                        bucket[w] |= delta
-                                    else:
-                                        bucket[w] = delta
-                                    if is_final:
-                                        if w in answers:
-                                            answers[w] |= delta
-                                        else:
-                                            answers[w] = delta
-        frontier = {}
-        for state, by_dest in next_frontier.items():
-            cleaned = {dest: bucket for dest, bucket in by_dest.items() if bucket}
-            if cleaned:
-                frontier[state] = cleaned
-    return answers
-
-
-def _single_source_sweep(
-    sharded: ShardedGraphDB,
-    compiled: CompiledAutomaton,
-    source_id: int,
-    stop_at: int | None = None,
-    fail_shards: frozenset[int] = frozenset(),
-) -> set[int]:
-    """Node ids reachable from ``source_id`` in an accepting state.
-
-    The shard-partitioned twin of the engine's forward sweep: frontier
-    slices are keyed by owning shard, expansion uses each shard's
-    internal index, and cut-edge deltas are stitched into the destination
-    shard's slice.  With ``stop_at`` the sweep returns as soon as that
-    target is known to be an answer (used by the single-pair entry
-    point).  ``fail_shards`` mirrors the all-pairs kernel's fault
-    injection: the sweep dies if the shard owning the source is marked.
-    """
-    if fail_shards and sharded.owner(source_id) in fail_shards:
-        raise RuntimeError(
-            f"injected fault: sweep died in shard {sharded.owner(source_id)}"
-        )
-    table = compiled.table
-    finals = compiled.finals
-    shards = sharded.shards
-    result: set[int] = set()
-    if compiled.accepts_epsilon:
-        result.add(source_id)
-        if stop_at is not None and stop_at == source_id:
-            return result
-    if not compiled.initials:
-        return result
-    source_owner = sharded.owner(source_id)
-    reached: dict[int, set[int]] = {
-        state: {source_id} for state in compiled.initials
-    }
-    frontier: dict[int, dict[int, set[int]]] = {
-        state: {source_owner: {source_id}} for state in compiled.initials
-    }
-    while frontier:
-        next_frontier: dict[int, dict[int, set[int]]] = {}
-        for state, by_shard in frontier.items():
-            row = table.get(state)
-            if not row:
-                continue
-            for here, nodes in by_shard.items():
-                shard = shards[here]
-                for label, next_states in row.items():
-                    internal = shard.internal.get(label)
-                    internal_targets: set[int] = set()
-                    if internal:
-                        if len(internal) < len(nodes):
-                            for v in internal:
-                                if v in nodes:
-                                    internal_targets |= internal[v]
-                        else:
-                            for v in nodes:
-                                targets = internal.get(v)
-                                if targets:
-                                    internal_targets |= targets
-                    cut = shard.cut.get(label)
-                    crossing: dict[int, set[int]] = {}
-                    if cut:
-                        if len(cut) < len(nodes):
-                            groups_hit = [cut[v] for v in cut if v in nodes]
-                        else:
-                            groups_hit = [cut[v] for v in nodes if v in cut]
-                        for groups in groups_hit:
-                            for dest, targets in groups:
-                                if dest in crossing:
-                                    crossing[dest].update(targets)
-                                else:
-                                    crossing[dest] = set(targets)
-                    if not internal_targets and not crossing:
-                        continue
-                    for next_state in next_states:
-                        seen = reached.get(next_state)
-                        if seen is None:
-                            seen = reached[next_state] = set()
-                        by_dest = next_frontier.get(next_state)
-                        if by_dest is None:
-                            by_dest = next_frontier[next_state] = {}
-                        is_final = next_state in finals
-                        if internal_targets:
-                            delta = internal_targets - seen
-                            if delta:
-                                seen |= delta
-                                if here in by_dest:
-                                    by_dest[here] |= delta
-                                else:
-                                    by_dest[here] = set(delta)
-                                if is_final:
-                                    result |= delta
-                        for dest, targets in crossing.items():
-                            delta = targets - seen
-                            if delta:
-                                seen |= delta
-                                if dest in by_dest:
-                                    by_dest[dest] |= delta
-                                else:
-                                    by_dest[dest] = set(delta)
-                                if is_final:
-                                    result |= delta
-        if stop_at is not None and stop_at in result:
-            return result
-        frontier = {}
-        for state, by_dest in next_frontier.items():
-            cleaned = {dest: nodes for dest, nodes in by_dest.items() if nodes}
-            if cleaned:
-                frontier[state] = cleaned
-    return result
-
-
-def _sweep_shard_numpy(
+def _sweep_window(
     snapshot,
     compiled: CompiledAutomaton,
-    bounds: list[int],
-    shard_index: int,
-    fail_shards: frozenset[int] = frozenset(),
+    lo: int,
+    hi: int,
+    backend: str,
+    fail: bool = False,
 ) -> dict[int, int]:
-    """The numpy twin of :func:`_sweep_shard` over a CSR snapshot.
+    """All-pairs product sweep for the sources in ``[lo, hi)``.
 
-    Sweeps the shard's source window with the vectorized kernel
-    (:func:`repro.rpq.kernel.sweep_window`) and returns the same
-    ``{target_id: re-based int mask}`` shape as the big-int kernel, so
-    the merge path upstream is backend-agnostic.  ``fail_shards`` is the
-    same fault injection as the big-int kernel's.
+    Returns ``{target_id: mask}`` (nonzero masks only) where bit ``j`` of
+    ``mask`` set means ``(node lo + j, target)`` is an answer — masks are
+    re-based to the window, which is where the factor-``k`` saving over
+    the monolithic sweep comes from, and both backends return the same
+    shape so the merge upstream is backend-agnostic.
+
+    ``fail`` is fault injection for the crash-recovery tests: the sweep
+    raises before touching any state, as a crashing worker would.
     """
-    if shard_index in fail_shards:
+    if fail:
         raise RuntimeError(
-            f"injected fault: worker died sweeping shard {shard_index}"
+            f"injected fault: worker died sweeping sources [{lo}, {hi})"
         )
-    from . import kernel as _kernel
+    if backend == "numpy":
+        from . import kernel as _kernel
 
-    lo, hi = bounds[shard_index], bounds[shard_index + 1]
-    matrix = _kernel.sweep_window(snapshot, compiled, lo, hi)
-    return _kernel.matrix_to_masks(matrix)
-
-
-# ----------------------------------------------------------------------
-# Worker-process plumbing
-# ----------------------------------------------------------------------
-
-# Populated once per worker process by the pool initializer, so the
-# sharded-graph payload (the bulky part) is pickled per *worker*, not
-# per task; the compiled automaton (small) rides along with each task,
-# letting one long-lived pool serve every query against the snapshot.
-#
-# Snapshots are *generation*-tagged so the pool survives the snapshot:
-# :meth:`ParallelEvaluator.refresh` bumps the evaluator's generation and
-# later tasks carry the new snapshot as pickled bytes; a worker unpickles
-# and caches it only when its cached generation is stale.  Workers
-# spawned at the pool-creation generation (possibly lazily, long after a
-# refresh) start from the initializer's snapshot and catch up the same
-# way.
-_WORKER_PAYLOAD: dict[str, tuple] = {}
+        return _kernel.matrix_to_masks(
+            _kernel.sweep_window(snapshot, compiled, lo, hi)
+        )
+    reached, frontier, answer_masks = _engine._seed_all_pairs(
+        snapshot, compiled, lo, hi
+    )
+    _engine._sweep_to_fixpoint(snapshot, compiled, reached, frontier, answer_masks)
+    return {
+        target_id: mask for target_id, mask in enumerate(answer_masks) if mask
+    }
 
 
-def _init_worker(generation, sharded, fail_shards) -> None:
-    _WORKER_PAYLOAD["args"] = (generation, sharded, fail_shards)
+# The snapshot a worker process last mapped, as ``(path, snapshot)``.
+# Tasks carry only the path of the evaluator's current snapshot file (it
+# names the generation, so it changes on every effective refresh); a
+# worker maps the file **zero-copy** on first sight and keeps it — with
+# the gather plans and adjacency views the sweeps memoize on it — until
+# a task names another.  That is what lets one long-lived pool serve
+# every query and every refresh: a refresh costs one file write in the
+# parent and one ``mmap`` per worker, never a process spawn.
+_WORKER_SNAPSHOT: tuple = (None, None)
 
 
 def _pool_sweep(
-    compiled: CompiledAutomaton,
-    shard_index: int,
-    generation: int,
-    payload: bytes | None,
-) -> dict[int, int]:
-    cached_generation, sharded, fail_shards = _WORKER_PAYLOAD["args"]
-    if cached_generation != generation:
-        import pickle
-
-        sharded = pickle.loads(payload)
-        _WORKER_PAYLOAD["args"] = (generation, sharded, fail_shards)
-    return _sweep_shard(sharded, compiled, shard_index, fail_shards)
-
-
-def _pool_sweep_numpy(
-    compiled: CompiledAutomaton,
-    shard_index: int,
-    generation: int,
     path: str,
-    bounds: list[int],
-    fail_shards: frozenset[int],
+    compiled: CompiledAutomaton,
+    lo: int,
+    hi: int,
+    backend: str,
+    fail: bool,
 ) -> dict[int, int]:
-    """Pool task for the numpy backend: one shard window per call.
-
-    The payload shipped per task is just the snapshot *path* plus the
-    shard bounds (a few hundred bytes); the snapshot itself is loaded
-    **zero-copy** via ``mmap`` and cached per worker keyed by the
-    evaluator generation, so after a refresh the worker re-maps the new
-    file instead of unpickling megabytes of edge dictionaries.
-    """
-    cached = _WORKER_PAYLOAD.get("numpy")
-    if cached is None or cached[0] != generation:
+    """The pool task: :func:`_sweep_window` over the snapshot at ``path``."""
+    global _WORKER_SNAPSHOT
+    if _WORKER_SNAPSHOT[0] != path:
         from .csr import CSRSnapshot
 
-        snapshot = CSRSnapshot.load(path, mmap=True)
-        _WORKER_PAYLOAD["numpy"] = (generation, snapshot)
-    else:
-        snapshot = cached[1]
-    return _sweep_shard_numpy(snapshot, compiled, bounds, shard_index, fail_shards)
+        _WORKER_SNAPSHOT = (path, CSRSnapshot.load(path, mmap=True))
+    return _sweep_window(_WORKER_SNAPSHOT[1], compiled, lo, hi, backend, fail)
 
 
 class ParallelEvaluator:
     """Shard-parallel evaluation of a compiled automaton over one graph.
 
-    ``num_shards`` fixes the partition (and the all-pairs work/mask
-    decomposition); ``workers`` caps the process pool.  With
+    ``num_shards`` fixes the source windows (and with them the all-pairs
+    work/mask decomposition); ``workers`` caps the process pool.  With
     ``workers <= 1`` — or when the host cannot spawn process pools — the
-    same per-shard kernels run sequentially in shard order, producing
+    same per-window sweeps run sequentially in window order, producing
     **bit-identical** results (the differential harness asserts this for
     every entry point).  A worker that *raises* mid-sweep is surfaced as
     :class:`ShardedEvaluationError` after the pool is torn down; see
     :class:`~repro.service.session.QuerySession` for the fallback policy.
 
-    The partition snapshot is taken at construction time: a
-    ``ParallelEvaluator`` answers for the graph as it was when built.
-    When the underlying graph changes, call :meth:`refresh` to cut a new
-    partition from the live graph **without** discarding the worker pool
-    — long-lived callers like ``QuerySession`` refresh on every store
-    version bump, and respawning processes per one-tuple update would
-    cost more than the update itself.
+    The graph is frozen into a :class:`~repro.rpq.csr.CSRSnapshot` at
+    construction time: all-pairs answers are for the graph as it was
+    when built.  When the underlying graph changes, call :meth:`refresh`
+    to freeze the live graph again **without** discarding the worker
+    pool — long-lived callers like ``QuerySession`` refresh on every
+    store version bump, and respawning processes per one-tuple update
+    would cost more than the update itself.
 
     The worker pool is built once, on the first pooled call, and reused
-    across refreshes: the initial snapshot is shipped to each worker via
-    the pool initializer, each task carries the small compiled automaton
-    plus a snapshot *generation* tag, and after a refresh the new
-    snapshot rides along with the tasks as pickled bytes — each worker
-    unpickles and caches them only when its cached generation is stale —
-    so a steady stream of queries against one snapshot pays no per-task
-    snapshot cost at all, and a refresh pays one pickle (amortized over
-    its tasks) instead of a pool spawn.  Call :meth:`close` (or use the
-    evaluator as a context
-    manager) to release the workers; a failed sweep tears the pool down
-    automatically.
+    across refreshes: the current snapshot is written to one file (only
+    when a pool is used — sequential evaluation never touches disk),
+    each task carries the small compiled automaton plus that file's
+    path, and workers map it lazily (see :func:`_pool_sweep`).  Call
+    :meth:`close` (or use the evaluator as a context manager) to release
+    the workers and the snapshot file; a failed sweep tears both down
+    automatically, and so does garbage collection of an evaluator that
+    was never closed.
     """
 
     def __init__(
@@ -609,28 +193,18 @@ class ParallelEvaluator:
         self._fail_shards = frozenset(_fail_shards)
         self._pool = None
         self._generation = 0
-        # The generation whose snapshot the pool's *initializer* ships to
-        # (lazily spawned) workers; tasks at any other generation must
-        # carry the snapshot themselves.  (Big-int backend only: numpy
-        # tasks always carry the tiny snapshot path instead.)
-        self._pool_generation = -1
-        self._payload_bytes: bytes | None = None
-        # Numpy-backend state: the frozen CSR snapshot, and the on-disk
-        # file workers mmap (written lazily, only when a pool is used).
-        self._snapshot = None
+        # The on-disk copy of the snapshot that pool workers mmap:
+        # written lazily into a private temp directory whose removal is
+        # registered the moment it is created.
         self._snapshot_dir: str | None = None
         self._snapshot_file: str | None = None
-        self._build_partition()
+        self._remove_snapshot_dir = None
+        self._freeze()
 
-    def _build_partition(self) -> None:
-        """Cut the evaluator's frozen view of ``self.db`` (per backend)."""
-        if self.backend == "numpy":
-            self.sharded = None
-            self._snapshot = self.db.to_csr()
-            self._bounds = shard_bounds(self.db.num_nodes, self._num_shards)
-        else:
-            self.sharded = ShardedGraphDB(self.db, self._num_shards)
-            self._bounds = self.sharded.bounds
+    def _freeze(self) -> None:
+        """Take the evaluator's frozen view of ``self.db``."""
+        self._snapshot = self.db.to_csr()
+        self._bounds = shard_bounds(self.db.num_nodes, self._num_shards)
         self._snapshot_file = None
         self._db_mutations = self.db.mutation_count
 
@@ -640,31 +214,29 @@ class ParallelEvaluator:
 
     @property
     def generation(self) -> int:
-        """How many times :meth:`refresh` has cut a new partition."""
+        """How many times :meth:`refresh` has taken a new snapshot."""
         return self._generation
 
     def refresh(self) -> None:
-        """Re-partition the *live* graph, keeping the worker pool.
+        """Re-freeze the *live* graph, keeping the worker pool.
 
-        The evaluator answers for the graph as of this call — the
-        re-shard is the same work construction does — but already-spawned
-        workers are reused: the next pooled sweep ships them the new
-        snapshot (tagged with a bumped generation) instead of paying a
-        process-pool spawn.  Sequential evaluation just picks up the new
-        partition.
+        The evaluator answers for the graph as of this call — the same
+        work construction does — but already-spawned workers are reused:
+        the next pooled sweep names the new snapshot file (tagged with a
+        bumped generation) instead of paying a process-pool spawn.
+        Sequential evaluation just picks up the new snapshot.
 
         A refresh against an *unchanged* graph (checked via
         :attr:`GraphDB.mutation_count`, which only moves on effective
-        mutations) is a no-op: the partition, the generation, and any
-        cached worker payload all survive, so callers can refresh
+        mutations) is a no-op: the snapshot, the generation, and the
+        file workers already mapped all survive, so callers can refresh
         unconditionally on every store-version bump without forcing the
         next pooled sweep to re-ship an identical snapshot.
         """
         if self.db.mutation_count == self._db_mutations:
             return
-        self._build_partition()
+        self._freeze()
         self._generation += 1
-        self._payload_bytes = None
 
     # ------------------------------------------------------------------
     # Entry points (same trio as the engine)
@@ -676,18 +248,10 @@ class ParallelEvaluator:
         every shard count, worker count, and process — so two runs can
         be compared byte for byte.
         """
-        per_shard = self._sweep_all(compiled)
-        bounds = self._bounds
         node_at = self.db.node_at
         pairs: list[Pair] = []
-        for shard_index, answers in enumerate(per_shard):
-            lo = bounds[shard_index]
-            id_pairs: list[tuple[int, int]] = []
-            for target_id, mask in answers.items():
-                while mask:
-                    low_bit = mask & -mask
-                    id_pairs.append((low_bit.bit_length() - 1 + lo, target_id))
-                    mask ^= low_bit
+        for lo, masks in zip(self._bounds, self._sweep_all(compiled)):
+            id_pairs = _engine._decode_answer_masks(masks.items(), lo)
             id_pairs.sort()
             pairs.extend(
                 (node_at(source_id), node_at(target_id))
@@ -704,123 +268,95 @@ class ParallelEvaluator:
     ) -> frozenset[Hashable]:
         """All ``y`` with a matching path from ``source``.
 
-        Raises ``KeyError`` on unknown nodes, like the engine; any
-        failure *inside* the sweep surfaces as
-        :class:`ShardedEvaluationError` (the same degradation contract
-        as the all-pairs entry point).
+        One source leaves nothing to window, so this is the engine's
+        set-based forward sweep over ``self.db``.  Raises ``KeyError``
+        on unknown nodes, like the engine; any failure *inside* the
+        sweep surfaces as :class:`ShardedEvaluationError` (the same
+        degradation contract as the all-pairs entry point).
         """
         source_id = self.db.node_id(source)
-        try:
-            if self.backend == "numpy":
-                reached = self._single_source_numpy(compiled, source_id)
-            else:
-                reached = _single_source_sweep(
-                    self.sharded, compiled, source_id,
-                    fail_shards=self._fail_shards,
-                )
-        except Exception as exc:
-            raise ShardedEvaluationError(
-                f"single-source sweep failed: {exc!r}"
-            ) from exc
-        node_at = self.db.node_at
-        return frozenset(node_at(v) for v in reached)
-
-    def _single_source_numpy(
-        self, compiled: CompiledAutomaton, source_id: int
-    ) -> set[int]:
-        """Single-source sweep on the numpy backend: a width-1 window.
-
-        ``sweep_window(lo=source_id, hi=source_id + 1)`` gives exactly
-        the one-column answer matrix for this source, so the single
-        vectorized kernel serves all three entry points.  Fault
-        injection mirrors the big-int kernel: the sweep dies when the
-        shard *owning the source* is marked.
-        """
-        if not 0 <= source_id < self._snapshot.num_nodes:
-            raise IndexError(f"node id {source_id} out of range")
-        if self._fail_shards:
-            owner = bisect_right(self._bounds, source_id) - 1
-            if owner in self._fail_shards:
-                raise RuntimeError(
-                    f"injected fault: sweep died in shard {owner}"
-                )
-        from . import kernel as _kernel
-
-        matrix = _kernel.sweep_window(
-            self._snapshot, compiled, source_id, source_id + 1
+        return self._on_engine(
+            "single-source", source_id,
+            _engine.evaluate_single_source, compiled, source,
         )
-        return set(_kernel.matrix_to_masks(matrix))
 
     def evaluate_pair(
         self, compiled: CompiledAutomaton, source: Hashable, target: Hashable
     ) -> bool:
-        """Is ``(source, target)`` an answer?  Early-exiting forward sweep.
+        """Is ``(source, target)`` an answer?  The engine's bidirectional
+        search over ``self.db``.
 
         ``KeyError`` on unknown endpoints; sweep failures become
         :class:`ShardedEvaluationError`, like every other entry point.
         """
         source_id = self.db.node_id(source)
-        target_id = self.db.node_id(target)
+        self.db.node_id(target)
+        return self._on_engine(
+            "single-pair", source_id,
+            _engine.evaluate_pair, compiled, source, target,
+        )
+
+    def _on_engine(self, what, source_id, evaluate, compiled, *endpoints):
+        """Run one of the engine's per-source entry points under this
+        evaluator's error contract.  Fault injection mirrors the windowed
+        sweep's: it dies when the shard *owning the source* is marked."""
         try:
-            if self.backend == "numpy":
-                reached = self._single_source_numpy(compiled, source_id)
-            else:
-                reached = _single_source_sweep(
-                    self.sharded, compiled, source_id, stop_at=target_id,
-                    fail_shards=self._fail_shards,
-                )
+            if self._fail_shards:
+                owner = bisect_right(self._bounds, source_id) - 1
+                if owner in self._fail_shards:
+                    raise RuntimeError(
+                        f"injected fault: sweep died in shard {owner}"
+                    )
+            return evaluate(self.db, compiled, *endpoints)
         except Exception as exc:
             raise ShardedEvaluationError(
-                f"single-pair sweep failed: {exc!r}"
+                f"{what} sweep failed: {exc!r}"
             ) from exc
-        return target_id in reached
 
     # ------------------------------------------------------------------
     # Task execution
     # ------------------------------------------------------------------
     def _sweep_all(self, compiled: CompiledAutomaton) -> list[dict[int, int]]:
-        indices = range(self._num_shards)
+        """Per-window answer masks, in window order."""
+        bounds = self._bounds
+        windows = [
+            (bounds[i], bounds[i + 1], i in self._fail_shards)
+            for i in range(self._num_shards)
+        ]
         workers = min(self.workers, self._num_shards)
         if workers > 1:
             pool = self._ensure_pool(workers)
             if pool is not None:
-                return self._run_pool(pool, compiled, indices)
-        # Sequential k-shard fallback: the same kernels, in shard order.
-        # Failures get the same typed error as the pool path, so callers
-        # have one degradation contract regardless of worker count.
+                return self._run_pool(pool, compiled, windows)
+        # Sequential fallback: the same sweeps, in window order.  Failures
+        # get the same typed error as the pool path, so callers have one
+        # degradation contract regardless of worker count.
         results = []
-        for shard_index in indices:
+        for lo, hi, fail in windows:
             try:
-                if self.backend == "numpy":
-                    results.append(
-                        _sweep_shard_numpy(
-                            self._snapshot, compiled, self._bounds,
-                            shard_index, self._fail_shards,
-                        )
+                results.append(
+                    _sweep_window(
+                        self._snapshot, compiled, lo, hi, self.backend, fail
                     )
-                else:
-                    results.append(
-                        _sweep_shard(
-                            self.sharded, compiled, shard_index,
-                            self._fail_shards,
-                        )
-                    )
+                )
             except Exception as exc:
                 raise ShardedEvaluationError(
-                    f"shard {shard_index} sweep failed: {exc!r}"
+                    f"sweep of sources [{lo}, {hi}) failed: {exc!r}"
                 ) from exc
         return results
 
     def _snapshot_path(self) -> str:
         """The on-disk mmap file for the current snapshot generation.
 
-        Written lazily — sequential numpy evaluation never touches disk —
-        and regenerated per refresh; stale generations are removed
-        eagerly so a long-lived evaluator holds at most one file.
+        Regenerated per refresh; stale generations are removed eagerly
+        so a long-lived evaluator holds at most one file.
         """
         if self._snapshot_file is None:
             if self._snapshot_dir is None:
                 self._snapshot_dir = tempfile.mkdtemp(prefix="rpq-csr-")
+                self._remove_snapshot_dir = weakref.finalize(
+                    self, shutil.rmtree, self._snapshot_dir, ignore_errors=True
+                )
             else:
                 for name in os.listdir(self._snapshot_dir):
                     try:
@@ -835,73 +371,29 @@ class ParallelEvaluator:
         return self._snapshot_file
 
     def _ensure_pool(self, workers: int):
-        """The evaluator's long-lived pool, spawned on first use with the
-        graph snapshot shipped once per worker, or ``None`` when the host
-        cannot run process pools (restricted sandboxes, missing semaphore
-        support) — the documented cue for the bit-identical sequential
-        fallback."""
+        """The evaluator's long-lived pool, spawned on first use, or
+        ``None`` when the host cannot run process pools (restricted
+        sandboxes, missing semaphore support) — the documented cue for
+        the bit-identical sequential fallback."""
         if self._pool is None:
             try:
                 from concurrent.futures import ProcessPoolExecutor
 
-                if self.backend == "numpy":
-                    # Numpy workers need no initializer payload: every
-                    # task carries the (tiny) snapshot path and mmap-loads
-                    # it on first sight of a new generation.
-                    self._pool = ProcessPoolExecutor(max_workers=workers)
-                else:
-                    self._pool = ProcessPoolExecutor(
-                        max_workers=workers,
-                        initializer=_init_worker,
-                        initargs=(
-                            self._generation, self.sharded, self._fail_shards
-                        ),
-                    )
-                self._pool_generation = self._generation
+                self._pool = ProcessPoolExecutor(max_workers=workers)
             except (ImportError, NotImplementedError, OSError, PermissionError):
                 return None
         return self._pool
 
-    def _run_pool_numpy(self, pool, compiled, indices) -> list[dict[int, int]]:
-        path = self._snapshot_path()
+    def _run_pool(self, pool, compiled, windows) -> list[dict[int, int]]:
         try:
+            path = self._snapshot_path()
             futures = [
                 pool.submit(
-                    _pool_sweep_numpy, compiled, i, self._generation,
-                    path, self._bounds, self._fail_shards,
+                    _pool_sweep, path, compiled, lo, hi, self.backend, fail
                 )
-                for i in indices
+                for lo, hi, fail in windows
             ]
             return [
-                future.result(timeout=self.pool_timeout) for future in futures
-            ]
-        except BaseException as exc:
-            self.close(wait=False)
-            raise ShardedEvaluationError(
-                f"shard sweep failed in the worker pool: {exc!r}"
-            ) from exc
-
-    def _run_pool(self, pool, compiled, indices) -> list[dict[int, int]]:
-        if self.backend == "numpy":
-            return self._run_pool_numpy(pool, compiled, indices)
-        # After a refresh the initializer's snapshot is stale, so tasks
-        # must carry the current one; pickled once per generation.  (Any
-        # worker may still hold the initializer snapshot — lazy spawns
-        # included — so the payload keeps riding along until the pool
-        # itself is respawned at the current generation.)
-        payload = None
-        if self._pool_generation != self._generation:
-            if self._payload_bytes is None:
-                import pickle
-
-                self._payload_bytes = pickle.dumps(self.sharded)
-            payload = self._payload_bytes
-        try:
-            futures = [
-                pool.submit(_pool_sweep, compiled, i, self._generation, payload)
-                for i in indices
-            ]
-            results = [
                 future.result(timeout=self.pool_timeout) for future in futures
             ]
         except BaseException as exc:
@@ -911,22 +403,22 @@ class ParallelEvaluator:
             raise ShardedEvaluationError(
                 f"shard sweep failed in the worker pool: {exc!r}"
             ) from exc
-        return results
 
     def close(self, wait: bool = True) -> None:
-        """Release the worker pool (idempotent).
+        """Release the worker pool and the snapshot file (idempotent).
 
         Sequential evaluation keeps working after ``close``; the next
-        pooled call simply re-spawns.  ``QuerySession`` closes the
-        evaluator whenever it rebuilds the partition for a new store
-        version.  ``wait=False`` skips joining the workers — used on the
-        failure path, where a worker may be wedged.
+        pooled call simply re-spawns and re-writes.  ``wait=False`` skips
+        joining the workers — used on the failure path, where a worker
+        may be wedged (a worker that has the file mapped keeps its
+        mapping; one that has not fails its already-cancelled task).
         """
         pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown(wait=wait, cancel_futures=True)
-        if wait and self._snapshot_dir is not None:
-            shutil.rmtree(self._snapshot_dir, ignore_errors=True)
+        if self._remove_snapshot_dir is not None:
+            self._remove_snapshot_dir()
+            self._remove_snapshot_dir = None
             self._snapshot_dir = None
             self._snapshot_file = None
 
@@ -937,14 +429,8 @@ class ParallelEvaluator:
         self.close()
 
     def __repr__(self) -> str:
-        if self.backend == "numpy":
-            return (
-                f"ParallelEvaluator(shards={self._num_shards}, "
-                f"workers={self.workers}, "
-                f"nodes={self._snapshot.num_nodes}, backend='numpy')"
-            )
         return (
-            f"ParallelEvaluator(shards={self.sharded.num_shards}, "
-            f"workers={self.workers}, nodes={self.sharded.num_nodes}, "
-            f"cut_edges={self.sharded.num_cut_edges})"
+            f"ParallelEvaluator(shards={self._num_shards}, "
+            f"workers={self.workers}, nodes={self._snapshot.num_nodes}, "
+            f"backend={self.backend!r})"
         )

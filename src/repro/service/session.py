@@ -77,12 +77,12 @@ class QuerySession:
 
     ``parallelism`` (the shard count) switches evaluation onto
     :class:`~repro.rpq.sharded.ParallelEvaluator` when >= 2: the view
-    graph is partitioned into that many node-range shards and the
-    all-pairs sweep runs per shard, on up to ``workers`` processes
-    (``workers=1`` runs the same shard kernels sequentially —
-    bit-identical answers either way).  The shard partition is evaluation
-    state like any other — it is recut when ``store.version`` moves and
-    never outlives the data it was cut from — but the worker *pool* is
+    graph's node ids are cut into that many source windows and the
+    all-pairs sweep runs per window, on up to ``workers`` processes
+    (``workers=1`` runs the same sweeps sequentially — bit-identical
+    answers either way).  The evaluator's frozen snapshot is evaluation
+    state like any other — it is retaken when ``store.version`` moves and
+    never outlives the data it was taken from — but the worker *pool* is
     not: :meth:`~repro.rpq.sharded.ParallelEvaluator.refresh` reuses the
     processes across versions, so a trickle of single-tuple updates does
     not pay a pool spawn per tuple.  If a worker ever fails
@@ -264,9 +264,9 @@ class QuerySession:
     def _parallel(self) -> ParallelEvaluator | None:
         """The shard evaluator for the store's *current* version, or
         ``None`` when parallel evaluation is off (no knob, shard count
-        < 2, or disabled after a worker failure).  The partition is
+        < 2, or disabled after a worker failure).  Its snapshot is
         evaluation state and follows the same invalidation contract as
-        memoized answers — recut whenever the store's version moves —
+        memoized answers — retaken whenever the store's version moves —
         but the evaluator object (and its worker pool) is kept:
         :meth:`~repro.rpq.sharded.ParallelEvaluator.refresh` ships the
         new snapshot to the existing workers instead of respawning
@@ -353,8 +353,8 @@ class QuerySession:
         self, evaluator: ParallelEvaluator, compiled: _engine.CompiledAutomaton
     ) -> frozenset[Pair]:
         """All pairs on the sharded tier.  Deltas are *not* absorbed
-        here: the shard partition is rebuilt per store version anyway,
-        so every parallel answer is a full (sharded) sweep."""
+        here: the snapshot is retaken per store version anyway, so
+        every parallel answer is a full (windowed) sweep."""
         answers = evaluator.evaluate_all(compiled)
         self.stats["full_recomputes"] += 1
         return answers

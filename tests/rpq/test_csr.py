@@ -51,6 +51,27 @@ class TestFromGraph:
                 got = snapshot.out_neighbors(label, v)
                 assert list(got) == expected
 
+    def test_label_out_index_mirrors_the_live_index(self, tmp_path):
+        """The view the big-int sweep reads: same keys, same targets as
+        ``GraphDB.label_out_index`` — in memory and through an mmap —
+        and empty (not a KeyError) for a label the graph never had."""
+        db = random_graph(random.Random(5), 40, ["a", "b", "c"], 160)
+        snapshot = CSRSnapshot.from_graph(db)
+        snapshot.save(tmp_path / "graph.csr")
+        for frozen in (snapshot, CSRSnapshot.load(tmp_path / "graph.csr")):
+            for label in db.domain():
+                view = frozen.label_out_index(label)
+                assert view is frozen.label_out_index(label)  # memoized
+                assert {v: set(targets) for v, targets in view.items()} == dict(
+                    db.label_out_index(label)
+                )
+                assert all(
+                    type(v) is int and type(w) is int
+                    for v, targets in view.items()
+                    for w in targets
+                )
+            assert frozen.label_out_index("never") == {}
+
     def test_empty_graph(self):
         snapshot = CSRSnapshot.from_graph(GraphDB())
         assert snapshot.num_nodes == 0

@@ -3,11 +3,12 @@
 Before the fix, every ``refresh()`` call rebuilt the partition and
 bumped the snapshot generation even when the graph had not changed at
 all — so a session refreshing on every store-version bump (the
-documented usage) forced the next pooled sweep to re-pickle and re-ship
+documented usage) forced the next pooled sweep to re-write and re-ship
 a byte-identical snapshot to every worker.  ``refresh()`` now consults
 :attr:`~repro.rpq.graphdb.GraphDB.mutation_count` (which only moves on
-*effective* mutations) and returns early: the generation, the cached
-payload bytes, the partition object, and the worker pool all survive.
+*effective* mutations) and returns early: the generation, the snapshot
+object, the file pool workers have mapped, and the worker pool all
+survive.
 """
 
 import pytest
@@ -43,13 +44,12 @@ class TestNoOpRefresh:
             ev.refresh()
             assert ev.generation == generation
 
-    def test_partition_object_unchanged(self, backend):
+    def test_snapshot_object_unchanged(self, backend):
         db = _graph()
         with ParallelEvaluator(db, 4, backend=backend) as ev:
-            partition = ev.sharded if backend == "bigint" else ev._snapshot
+            snapshot = ev._snapshot
             ev.refresh()
-            after = ev.sharded if backend == "bigint" else ev._snapshot
-            assert after is partition
+            assert ev._snapshot is snapshot
 
     def test_noop_mutations_do_not_invalidate(self, backend):
         """Idempotent add/remove calls that change nothing structurally
@@ -87,21 +87,23 @@ class TestNoOpRefresh:
 
 
 class TestPayloadReuse:
-    def test_payload_bytes_survive_noop_refresh(self):
-        """The pickled snapshot a post-refresh pool task carries must not
-        be discarded by a refresh that changed nothing."""
+    def test_snapshot_file_survives_noop_refresh(self):
+        """The snapshot file pool tasks name (and workers have mapped)
+        must not be re-written by a refresh that changed nothing."""
         db = _graph()
+        compiled = _compiled(db)
         with ParallelEvaluator(db, 4, workers=2) as ev:
-            # Force the evaluator into the carries-payload regime: one
-            # effective refresh after construction.
-            db.add_edge("n0", "a", "n20")
-            ev.refresh()
-            ev._payload_bytes = payload = b"sentinel-reused-payload"
-            ev.refresh()  # no-op: must keep the cached payload
-            assert ev._payload_bytes is payload
+            ev.evaluate_all_sorted(compiled)
+            if ev._pool is None:
+                pytest.skip("host cannot spawn process pools")
+            path = ev._snapshot_file
+            assert path is not None
+            ev.refresh()  # no-op: must keep the file tasks carry
+            assert ev._snapshot_path() == path
             db.add_edge("n1", "b", "n20")
-            ev.refresh()  # effective: must drop it
-            assert ev._payload_bytes is None
+            ev.refresh()  # effective: the next pooled sweep names a new one
+            assert ev._snapshot_file is None
+            assert ev._snapshot_path() != path
 
     def test_pool_identity_survives_refresh(self):
         db = _graph()

@@ -25,7 +25,6 @@ from repro.rpq import (
     GraphDB,
     ParallelEvaluator,
     Pred,
-    ShardedGraphDB,
     Theory,
     make_graph,
     make_queries,
@@ -34,6 +33,7 @@ from repro.rpq import (
 )
 from repro.rpq import engine as engine_mod
 from repro.rpq.formulas import TOP
+from repro.rpq.sharded import shard_bounds
 from repro.regex.ast import concat, star, sym
 
 SHARD_COUNTS = (1, 2, 3, 7)
@@ -129,16 +129,16 @@ def test_more_shards_than_nodes_leaves_empty_shards():
     compiled = compiled_for(db, "a.b")
     expected = engine_mod.evaluate_all_sorted(db, compiled)
     evaluator = ParallelEvaluator(db, num_shards=50)
-    assert 0 in evaluator.sharded.shard_sizes()
+    bounds = shard_bounds(db.num_nodes, 50)
+    assert 0 in [hi - lo for lo, hi in zip(bounds, bounds[1:])]
     assert evaluator.evaluate_all_sorted(compiled) == expected
 
 
-def test_all_cut_edges_partition_still_exact():
-    """k = num_nodes on a chain: every single edge crosses a boundary."""
+def test_one_node_windows_still_exact():
+    """k = num_nodes on a chain: every window is a single source, and
+    every single edge leaves its window."""
     db = make_graph("chain", seed=7, edges=12)
-    sharded = ShardedGraphDB(db, db.num_nodes)
-    assert sharded.num_internal_edges == 0
-    assert sharded.num_cut_edges == db.num_edges
+    assert shard_bounds(db.num_nodes, db.num_nodes) == list(range(db.num_nodes + 1))
     for query in make_queries("chain", seed=7, count=4):
         compiled = compiled_for(db, query)
         evaluator = ParallelEvaluator(db, num_shards=db.num_nodes)

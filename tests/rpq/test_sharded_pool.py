@@ -1,12 +1,17 @@
-"""Partition invariants, the worker-pool path, and crash recovery.
+"""Window invariants, the worker-pool path, and crash recovery.
 
 The differential harness (``test_sharded_differential``) pins answer
-equality; this file pins the machinery around it: that
-:class:`ShardedGraphDB` is a true partition of the input graph, that the
-process-pool path is exercised end to end, and that a worker dying
-mid-sweep surfaces one clean :class:`ShardedEvaluationError` — promptly,
-with the pool torn down — rather than a hang or a half answer.
+equality; this file pins the machinery around it: that the source
+windows are a true partition of the all-pairs answer (each window
+answers exactly the pairs whose source it owns), that the process-pool
+path is exercised end to end, that a worker dying mid-sweep surfaces one
+clean :class:`ShardedEvaluationError` — promptly, with the pool torn
+down — rather than a hang or a half answer, and that no evaluator leaves
+its snapshot file behind.
 """
+
+import gc
+import tempfile
 
 import pytest
 from hypothesis import given, settings
@@ -16,68 +21,98 @@ from repro.rpq import (
     RPQ,
     ParallelEvaluator,
     ShardedEvaluationError,
-    ShardedGraphDB,
     make_graph,
     make_queries,
 )
 from repro.rpq import engine as engine_mod
+from repro.rpq.sharded import _sweep_window, shard_bounds
 
 
-def compiled_for(db, query):
+def compiled_for(db, query, labels=None):
     return engine_mod.compile_automaton(
-        RPQ(query).eps_free_nfa(), None, db.domain()
+        RPQ(query).eps_free_nfa(), None, db.domain() if labels is None else labels
     )
 
 
+def answer_bytes(pairs):
+    return "\n".join(f"{x}\t{y}" for x, y in pairs).encode()
+
+
 # ----------------------------------------------------------------------
-# ShardedGraphDB is a partition
+# The windows partition the answer
 # ----------------------------------------------------------------------
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=9999),
     edges=st.integers(min_value=4, max_value=60),
-    num_shards=st.integers(min_value=1, max_value=12),
+    # None: more shards than nodes, so some windows are empty.
+    num_shards=st.sampled_from((1, 2, 3, 7, None)),
     family=st.sampled_from(("chain", "grid", "scale_free", "layered_dag")),
+    backend=st.sampled_from(("bigint", "numpy")),
+    query_index=st.integers(min_value=0, max_value=4),
+    drain=st.sampled_from((0, 2, 1)),
 )
-def test_partition_conserves_nodes_and_edges(seed, edges, num_shards, family):
+def test_windows_conserve_the_answer(
+    seed, edges, num_shards, family, backend, query_index, drain
+):
+    """Window ``[lo, hi)`` answers exactly the pairs with a source in
+    it, so the windows' answers concatenated in window order *are* the
+    engine's sorted answer list, byte for byte."""
     db = make_graph(family, seed, edges=edges)
-    sharded = ShardedGraphDB(db, num_shards)
-    assert sum(sharded.shard_sizes()) == db.num_nodes
-    assert sharded.num_edges == db.num_edges
-    assert sharded.num_internal_edges + sharded.num_cut_edges == db.num_edges
-    # Every node is owned by the shard whose range contains it, and every
-    # edge is stored by its source's owner with the right cut/internal split.
-    for node_id in range(db.num_nodes):
-        owner = sharded.owner(node_id)
-        shard = sharded.shards[owner]
-        assert shard.lo <= node_id < shard.hi
-    for source, label, target in db.edges():
-        source_id, target_id = db.node_id(source), db.node_id(target)
-        shard = sharded.shards[sharded.owner(source_id)]
-        if sharded.owner(target_id) == shard.index:
-            assert target_id in shard.internal[label][source_id]
-        else:
-            groups = dict(shard.cut[label][source_id])
-            assert target_id in groups[sharded.owner(target_id)]
+    labels = sorted(db.domain())
+    # Index 4 is epsilon-accepting: the diagonal must be windowed too.
+    query = (*make_queries(family, seed, count=4), f"({'+'.join(labels)})*")[
+        query_index
+    ]
+    if drain:
+        # A drained store: interned ids outlive their edges (every
+        # ``drain``-th edge goes; drain=1 empties the graph), and the
+        # windows still have to span all of them.
+        for edge in sorted(db.to_triples())[::drain]:
+            db.remove_edge(*edge)
+    compiled = compiled_for(db, query, labels=frozenset(labels))
+    if num_shards is None:
+        num_shards = db.num_nodes + 3
+    bounds = shard_bounds(db.num_nodes, num_shards)
+    assert bounds[0] == 0 and bounds[-1] == db.num_nodes
+    snapshot = db.to_csr()
+    id_pairs = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        assert 0 <= hi - lo <= -(-db.num_nodes // num_shards)
+        masks = _sweep_window(snapshot, compiled, lo, hi, backend)
+        assert all(0 < mask < 1 << (hi - lo) for mask in masks.values())
+        window_pairs = sorted(engine_mod._decode_answer_masks(masks.items(), lo))
+        assert all(lo <= source_id < hi for source_id, _ in window_pairs)
+        id_pairs += window_pairs
+    node_at = db.node_at
+    concatenated = [(node_at(x), node_at(y)) for x, y in id_pairs]
+    expected = engine_mod.evaluate_all_sorted(db, compiled, backend="bigint")
+    assert answer_bytes(concatenated) == answer_bytes(expected)
+    assert concatenated == expected
+    with ParallelEvaluator(db, num_shards, backend=backend) as evaluator:
+        assert evaluator.evaluate_all_sorted(compiled) == expected
 
 
-def test_single_shard_has_no_cut_edges():
+def test_single_window_is_the_monolithic_sweep():
     db = make_graph("scale_free", seed=3, edges=80)
-    sharded = ShardedGraphDB(db, 1)
-    assert sharded.num_cut_edges == 0
-    assert sharded.num_internal_edges == db.num_edges
+    compiled = compiled_for(db, make_queries("scale_free", seed=3, count=1)[0])
+    assert shard_bounds(db.num_nodes, 1) == [0, db.num_nodes]
+    masks = _sweep_window(db.to_csr(), compiled, 0, db.num_nodes, "bigint")
+    assert sorted(engine_mod._decode_answer_masks(masks.items())) == sorted(
+        engine_mod._all_pairs_ids(db, compiled, "bigint")
+    )
 
 
 def test_invalid_shard_and_worker_counts_rejected():
     db = make_graph("chain", seed=0, edges=4)
     with pytest.raises(ValueError):
-        ShardedGraphDB(db, 0)
+        shard_bounds(db.num_nodes, 0)
+    with pytest.raises(ValueError):
+        ParallelEvaluator(db, num_shards=0)
     with pytest.raises(ValueError):
         ParallelEvaluator(db, num_shards=2, workers=0)
-    with pytest.raises(IndexError):
-        ShardedGraphDB(db, 2).owner(db.num_nodes)
 
 
 # ----------------------------------------------------------------------
@@ -174,3 +209,46 @@ def test_fresh_evaluator_recovers_after_a_fault():
     assert healthy.evaluate_all_sorted(
         compiled
     ) == engine_mod.evaluate_all_sorted(db, compiled)
+
+
+# ----------------------------------------------------------------------
+# Snapshot files never outlive their evaluator
+# ----------------------------------------------------------------------
+
+
+def test_snapshot_dir_removed_on_drop_and_on_worker_fault(tmp_path, monkeypatch):
+    """Regression: a pooled evaluator dropped without ``close()`` used to
+    leave its ``rpq-csr-*`` directory (and ``gen<N>.csr``) behind, and a
+    worker fault kept them until a later explicit ``close()``."""
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+
+    def leftovers():
+        return sorted(path.name for path in tmp_path.glob("rpq-csr-*"))
+
+    db = make_graph("grid", seed=9, edges=60)
+    compiled = compiled_for(db, "r.d")
+    evaluator = ParallelEvaluator(db, num_shards=4, workers=2)
+    evaluator.evaluate_all(compiled)
+    if evaluator._pool is None:
+        pytest.skip("host cannot spawn process pools: no snapshot file is written")
+    (snapshot_dir,) = leftovers()
+    assert [path.name for path in (tmp_path / snapshot_dir).iterdir()] == ["gen0.csr"]
+    db.add_edge("n0", "r", "n5")
+    evaluator.refresh()
+    evaluator.evaluate_all(compiled)
+    # One file per evaluator: the stale generation went when the new one
+    # was written.
+    assert [path.name for path in (tmp_path / snapshot_dir).iterdir()] == ["gen1.csr"]
+    del evaluator
+    gc.collect()
+    assert leftovers() == []
+
+    faulty = ParallelEvaluator(db, num_shards=4, workers=2, _fail_shards=[1])
+    with pytest.raises(ShardedEvaluationError):
+        faulty.evaluate_all(compiled)
+    assert leftovers() == []  # no close() needed after a failed sweep
+
+    with ParallelEvaluator(db, num_shards=4, workers=2) as closed:
+        closed.evaluate_all(compiled)
+        assert len(leftovers()) == 1
+    assert leftovers() == []

@@ -281,15 +281,15 @@ class TestParallelism:
         sharded = self._parallel_session(store, views, theory)
         assert sharded.answer("a.b") == frozenset({("u", "z"), ("w", "z")})
         evaluator = sharded._evaluator
-        partition = evaluator.sharded
+        snapshot = evaluator._snapshot
         store.add("q2", "v", "z2")
         assert sharded.answer("a.b") == frozenset(
             {("u", "z"), ("w", "z"), ("u", "z2"), ("w", "z2")}
         )
-        # The partition was recut for the new version, but the evaluator
+        # The snapshot was retaken for the new version, but the evaluator
         # (and with it any worker pool) survived.
         assert sharded._evaluator is evaluator
-        assert evaluator.sharded is not partition
+        assert evaluator._snapshot is not snapshot
         assert evaluator.generation == 1
 
     def test_pool_survives_version_bumps(self, store, views, theory):
@@ -351,7 +351,7 @@ class TestParallelism:
         def boom(*args, **kwargs):
             raise RuntimeError("kernel bug")
 
-        monkeypatch.setattr(sharded_mod, "_sweep_shard", boom)
+        monkeypatch.setattr(sharded_mod, "_sweep_window", boom)
         session = self._parallel_session(store, views, theory, workers=1)
         assert session.answer("a.b") == frozenset({("u", "z"), ("w", "z")})
         assert session.stats["parallel_failures"] == 1
@@ -366,17 +366,18 @@ class TestParallelism:
         assert session.answer_pair("a.b", "u", "z")  # rebuilt on demand
         assert session.answer("a.b") == expected
 
-    def test_single_source_fault_falls_back_too(
-        self, store, views, theory, monkeypatch
-    ):
+    def test_single_source_fault_falls_back_too(self, store, views, theory):
         """answer_from/answer_pair honour the same degradation contract
         as answer — a sweep fault never escapes the session."""
-        import repro.rpq.sharded as sharded_mod
+        from repro.rpq.sharded import ParallelEvaluator
 
-        def boom(*args, **kwargs):
-            raise RuntimeError("kernel bug")
-
-        monkeypatch.setattr(sharded_mod, "_single_source_sweep", boom)
         session = self._parallel_session(store, views, theory)
+        # The evaluator's single-source entry point *is* the engine's, so
+        # the fault has to be planted in the evaluator, not the kernel:
+        # the session's fallback runs the same engine function.
+        session._evaluator = ParallelEvaluator(
+            store.graph, num_shards=3, _fail_shards=range(3)
+        )
+        session._evaluator_version = store.version
         assert session.answer_from("a.b", "u") == frozenset({"z"})
         assert session.stats["parallel_failures"] == 1
