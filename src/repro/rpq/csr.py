@@ -7,11 +7,12 @@ compressed-sparse-row arrays over the dense node ids:
 
 * ``out_indptr``/``out_indices`` — forward CSR: the targets of node
   ``v``'s ``label``-edges are ``out_indices[out_indptr[v]:out_indptr[v+1]]``,
-  sorted ascending.
+  sorted ascending.  The numpy kernel (:mod:`repro.rpq.kernel`) expands
+  a sparse frontier's ``(node, column)`` pairs through this orientation.
 * ``in_indptr``/``in_indices`` — reverse CSR: the *sources* of the
-  ``label``-edges entering ``v``.  This is the orientation the numpy
-  kernel (:mod:`repro.rpq.kernel`) consumes: one frontier-expansion round
-  OR-gathers, for every target node, the mask rows of its in-neighbours.
+  ``label``-edges entering ``v``.  This is the orientation the kernel's
+  block rounds consume: one frontier-expansion round OR-gathers, for
+  every target node, the mask rows of its in-neighbours.
 
 Snapshots serialize to a single memory-mappable file
 (:meth:`CSRSnapshot.save` / :meth:`CSRSnapshot.load`): a small pickled
@@ -43,7 +44,7 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .graphdb import GraphDB
 
-__all__ = ["CSRSnapshot", "blocks_for"]
+__all__ = ["CSRSnapshot", "blocks_for", "pack_keys"]
 
 _MAGIC = b"RPQCSR\x01\n"
 _ALIGN = 64
@@ -58,6 +59,21 @@ _TMP_SERIAL = itertools.count()
 def blocks_for(num_columns: int) -> int:
     """How many uint64 blocks hold ``num_columns`` mask bits (min 1)."""
     return max(1, (num_columns + 63) >> 6)
+
+
+def pack_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Fold ascending *bit keys* into ``(flat word indices, uint64 words)``.
+
+    A bit key addresses one bit of a ``(rows, B)`` block matrix as
+    ``row * 64 * B + column``: ``key >> 6`` is the flat word index and
+    ``key & 63`` the bit.  Ascending keys make runs of equal words
+    contiguous, so one ``reduceat`` ORs each run's bits together and the
+    returned word indices are unique.  ``keys`` must be non-empty.
+    """
+    words = keys >> 6
+    values = np.uint64(1) << (keys & 63).astype(np.uint64)
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(words)) + 1))
+    return words[starts], np.bitwise_or.reduceat(values, starts)
 
 
 def _label_sort_key(label: Hashable) -> tuple[str, str]:
@@ -100,7 +116,7 @@ class _GatherPlan:
     down axis 1 with a plain vectorized reduce.
     """
 
-    __slots__ = ("spans", "sources")
+    __slots__ = ("spans",)
 
     def __init__(self, label_csr: _LabelCSR, num_nodes: int):
         in_indptr = label_csr.in_indptr
@@ -108,9 +124,6 @@ class _GatherPlan:
         degrees = np.diff(in_indptr)
         nonzero = np.flatnonzero(degrees)
         self.spans: list[tuple[np.ndarray, np.ndarray]] = []
-        # Sources with at least one out-edge of this label: the seed set
-        # of any initial automaton state whose row matches the label.
-        self.sources = np.flatnonzero(np.diff(label_csr.out_indptr))
         if nonzero.size == 0:
             return
         by_degree = nonzero[np.argsort(degrees[nonzero], kind="stable")]
@@ -246,19 +259,9 @@ class CSRSnapshot:
         dst = dst[selected]
         bitmap = np.zeros((self.num_nodes, num_blocks), dtype=np.uint64)
         if src.size:
-            columns = src - lo
-            # Edges are sorted by (dst, src), so the flat word index is
-            # non-decreasing and runs of equal words are contiguous:
-            # one reduceat folds each run's bits together.
-            words = dst * num_blocks + (columns >> 6)
-            values = np.uint64(1) << (
-                columns.astype(np.uint64) & np.uint64(63)
-            )
-            starts = np.concatenate(
-                ([0], np.flatnonzero(np.diff(words)) + 1)
-            )
-            folded = np.bitwise_or.reduceat(values, starts)
-            bitmap.reshape(-1)[words[starts]] = folded
+            # Edges are sorted by (dst, src), so their bit keys ascend.
+            words, values = pack_keys(dst * (num_blocks << 6) + (src - lo))
+            bitmap.reshape(-1)[words] = values
         self._bitmaps[key] = bitmap
         return bitmap
 

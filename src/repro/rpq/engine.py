@@ -68,8 +68,10 @@ Pair = tuple[Hashable, Hashable]
 
 # Auto backend selection: below this edge count the big-int sweep's tiny
 # constant factors win; at or above it the vectorized numpy kernel
-# (:mod:`repro.rpq.kernel`) amortizes its setup and pulls ahead — the
-# crossover is measured by ``benchmarks/bench_vectorized_sweep.py``.
+# (:mod:`repro.rpq.kernel`) amortizes its setup and pulls ahead.
+# ``benchmarks/bench_vectorized_sweep.py`` gates both ends of that claim:
+# a sparse cell right at the threshold (9 000-edge grid and scale-free
+# graphs, numpy >= 1.5x) and the dense 1.5M-edge cell (>= 10x).
 NUMPY_BACKEND_MIN_EDGES = 8192
 
 _BACKENDS = ("auto", "bigint", "numpy")
@@ -342,8 +344,7 @@ def evaluate_all_sorted(
     the same key — which is what lets differential harnesses compare
     whole lists byte for byte instead of set-compare only.
     """
-    id_pairs = _all_pairs_ids(db, compiled, backend)
-    id_pairs.sort()
+    id_pairs = _all_pairs_ids(db, compiled, backend, ordered=True)
     node_at = db.node_at
     return [
         (node_at(source_id), node_at(target_id))
@@ -483,14 +484,19 @@ def _decode_answer_masks(
 
 
 def _all_pairs_ids(
-    db: GraphDB, compiled: CompiledAutomaton, backend: str = "auto"
+    db: GraphDB,
+    compiled: CompiledAutomaton,
+    backend: str = "auto",
+    *,
+    ordered: bool = False,
 ) -> list[tuple[int, int]]:
     """The all-pairs sweep, decoded to dense-id pairs.
 
-    The big-int path returns pairs in mask-decode order (unordered); the
-    numpy path returns them sorted.  Both callers either sort or build a
-    set, so the orders are interchangeable — the *pair sets* are
-    bit-identical by the kernel's exactness contract.
+    Order contract: the numpy path *always* returns the pairs sorted by
+    ``(source_id, target_id)`` — ``kernel.decode_matrix`` produces them
+    that way and nobody re-sorts them; the big-int path returns them in
+    mask-decode order unless ``ordered`` asks for the same sort.  The
+    *pair sets* are bit-identical by the kernel's exactness contract.
     """
     if db.num_nodes == 0 or not compiled.initials:
         return []
@@ -500,7 +506,10 @@ def _all_pairs_ids(
         return _kernel.all_pairs_ids(db.to_csr(), compiled)
     reached, frontier, answer_masks = _seed_all_pairs(db, compiled)
     _sweep_to_fixpoint(db, compiled, reached, frontier, answer_masks)
-    return _decode_answer_masks(enumerate(answer_masks))
+    id_pairs = _decode_answer_masks(enumerate(answer_masks))
+    if ordered:
+        id_pairs.sort()
+    return id_pairs
 
 
 def evaluate_single_source(

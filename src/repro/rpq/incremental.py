@@ -862,7 +862,9 @@ class NumpyDeltaSweepState:
             snapshot[target_id] = answers[target_id]
 
     def answer_ids(self) -> list[tuple[int, int]]:
-        """The current answers as dense-id pairs, sorted."""
+        """The current answers as dense-id pairs, sorted by ``(source,
+        target)`` — ``kernel.decode_matrix``'s order contract, relied on
+        here and in :meth:`answers_sorted` without a second sort."""
         from . import kernel as _kernel
 
         sources, targets = _kernel.decode_matrix(
