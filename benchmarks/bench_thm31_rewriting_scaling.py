@@ -56,7 +56,7 @@ def _best_of(fn, repeats: int):
     return best, result
 
 
-@pytest.mark.parametrize("k", [6, 7], ids=["k6", "k7"])
+@pytest.mark.parametrize("k", [6, 7, 8], ids=["k6", "k7", "k8"])
 def test_compiled_pipeline_speedup(k):
     """>= 5x over the naive oracle, with isomorphic minimized results."""
     query = blowup_query(k)

@@ -19,13 +19,12 @@ pipeline now runs on:
   function transparently switches to ``_minimize_dense_sparse``, the same
   refinement over per-element sets (the dense-array port of
   :func:`repro.automata.minimize.minimize`).
-* :func:`view_transition_masks` — the ``A'``-edge workhorse.  Instead of
-  one product BFS per ``Ad`` state (the naive
-  :func:`~repro.automata.operations.view_transition_relation`), a single
-  semi-naive BFS over (view-state, ``Ad``-state) cells carries *bitmasks
-  of source states*, computing every row of the relation at once; results
-  are memoized per (``Ad`` fingerprint, view automaton) so
-  ``maximal_rewriting`` and ``existential_rewriting`` share them.
+* :func:`view_transition_masks` — the ``A'``-edge relation.  It is
+  ``ans(view, Ad-as-a-graph)``, so it is computed by the label-indexed
+  bit-row sweeps RPQ evaluation runs on (:mod:`repro.sweep`), with
+  ``Ad``'s transition functions as the edge index; results are memoized
+  per (``Ad`` fingerprint, view automaton) so ``maximal_rewriting`` and
+  ``existential_rewriting`` share them.
 * :func:`rewrite_sweep` — the paper's step 3 (complement) fused with
   minimization: one subset sweep *directly over the relation masks* with
   complemented acceptance, never materializing the intermediate ``A'``
@@ -38,8 +37,15 @@ Everything converts losslessly to and from the dict-based :class:`NFA` /
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Hashable, Iterator, Sequence
+from types import SimpleNamespace
+from typing import Hashable, Iterable, Iterator, Sequence
 
+import numpy as np
+
+from ..sweep.bigint import _seed_all_pairs, _sweep_to_fixpoint
+from ..sweep.csr import CSRSnapshot, _LabelCSR
+from ..sweep.kernel import matrix_to_masks, sweep_window
+from ..sweep.table import compile_automaton
 from .dfa import DFA
 from .nfa import NFA
 
@@ -52,23 +58,18 @@ __all__ = [
     "minimize_dense",
     "view_transition_masks",
     "cached_view_transition_masks",
+    "relation_nfa",
     "rewrite_sweep",
     "relation_cache_info",
     "relation_cache_clear",
     "iter_bits",
     "DENSE_MINIMIZE_LIMIT",
-    "DENSE_RELATION_LIMIT",
 ]
 
 #: Above this many states, mask-based Hopcroft loses to the sparse
 #: set-based implementation (OR-ing n/64-word predecessor masks per
 #: splitter bit dominates); delegate instead.
 DENSE_MINIMIZE_LIMIT = 4096
-
-#: Above this many DFA states, the all-sources relation BFS would carry
-#: n-bit source masks per product cell (O(n^2) bits); fall back to the
-#: per-source sparse BFS.
-DENSE_RELATION_LIMIT = 1 << 14
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -111,7 +112,9 @@ class DenseNFA:
 class DenseDFA:
     """A *total* DFA over dense ids: ``delta[state][symbol_index]`` is an int."""
 
-    __slots__ = ("symbols", "num_states", "delta", "initial", "finals_mask")
+    __slots__ = (
+        "symbols", "num_states", "delta", "initial", "finals_mask", "_key", "_index"
+    )
 
     def __init__(
         self,
@@ -125,15 +128,23 @@ class DenseDFA:
         self.delta = delta
         self.initial = initial
         self.finals_mask = finals_mask
+        self._key: tuple | None = None
+        self._index = None  # the edge index a sweep of this DFA runs over
 
-    def key(self) -> tuple:
-        """A hashable structural fingerprint (for relation memoization)."""
-        return (
-            self.symbols,
-            self.initial,
-            self.finals_mask,
-            tuple(tuple(row) for row in self.delta),
-        )
+    def key(self) -> tuple | None:
+        """A hashable structural fingerprint (for relation memoization),
+        computed once; ``None`` above ``_FINGERPRINT_MAX_CELLS``."""
+        if (
+            self._key is None
+            and self.num_states * len(self.symbols) <= _FINGERPRINT_MAX_CELLS
+        ):
+            self._key = (
+                self.symbols,
+                self.initial,
+                self.finals_mask,
+                tuple(tuple(row) for row in self.delta),
+            )
+        return self._key
 
     def accepts(self, word: Sequence[Hashable]) -> bool:
         index = {symbol: i for i, symbol in enumerate(self.symbols)}
@@ -424,132 +435,98 @@ def _minimize_dense_sparse(dense: DenseDFA) -> DenseDFA:
 
 
 # ----------------------------------------------------------------------
-# Product reachability: the A'-edge workhorse
+# The A'-edge relation: ans(view, Ad-as-a-graph) on the shared sweep
 # ----------------------------------------------------------------------
 
+# Above this many delta cells (states x symbols) the relation memo is
+# bypassed: its key is one int per cell and its LRU pins up to 128 of them.
+_FINGERPRINT_MAX_CELLS = 1 << 13
 
-def view_transition_masks(ad: DenseDFA, view: NFA) -> tuple[int, ...]:
+# The rows a sweep of ``Ad`` runs on, chosen from its state count: big-int
+# rows up to _BIGINT_MAX_STATES (measured crossover: 24 states on the Thm
+# 3.1 family, 35 on long cycles); uint64 block rows up to _BLOCK_MAX_STATES,
+# in windows of at most _WINDOW_WORDS words per matrix (2 MiB; one window
+# up to 4096 states); beyond, big-int rows in windows of _BIGINT_WINDOW
+# sources — a block sweep touches n^2/64 words per view state whatever the
+# relation holds (the 141 079-state unminimized ``Ad`` of the Thm 3.3
+# instance: 4.7 s a view, against 8.0 s in block windows).
+_BIGINT_MAX_STATES = 32
+_BLOCK_MAX_STATES = 1 << 15
+_WINDOW_WORDS = 1 << 18
+_BIGINT_WINDOW = 1 << 12
+
+
+def _edge_index(ad: DenseDFA, blocks: bool):
+    """``Ad`` *reversed* as a label-indexed edge index (memoized on ``ad``):
+    the edge ``j --a--> i`` for every ``delta[i][a] == j``.
+
+    Reversed, because a sweep's rows are indexed by target and list
+    sources: over this index, with the view automaton reversed to match,
+    row ``i`` lists the states ``Ad`` reaches from ``i``.  A CSR for block
+    rows (in-neighbours: the function itself; out-neighbours: one stable
+    argsort of it), the dicts the big-int sweep reads otherwise.
+    """
+    if ad._index is not None:
+        return ad._index
+    n = ad.num_states
+    if blocks:
+        delta = np.asarray(ad.delta, dtype=np.int64)
+        identity = np.arange(n + 1, dtype=np.int64)
+        by_label = {}
+        for symbol_index, symbol in enumerate(ad.symbols):
+            successor = np.ascontiguousarray(delta[:, symbol_index])
+            out_indptr = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(np.bincount(successor, minlength=n), out=out_indptr[1:])
+            by_label[symbol] = _LabelCSR(
+                out_indptr, np.argsort(successor, kind="stable"), identity, successor
+            )
+        ad._index = CSRSnapshot(n, delta.size, ad.symbols, by_label)
+    else:
+        out = {symbol: {} for symbol in ad.symbols}
+        for state, row in enumerate(ad.delta):
+            for symbol, successor in zip(ad.symbols, row):
+                out[symbol].setdefault(successor, []).append(state)
+        ad._index = SimpleNamespace(num_nodes=n, label_out_index=out.__getitem__)
+    return ad._index
+
+
+def view_transition_masks(ad: DenseDFA, view: NFA, theory=None) -> tuple[int, ...]:
     """Per-state target masks of the view-word reachability relation.
 
     ``result[i]`` has bit ``j`` set iff some word of ``L(view)`` drives the
-    total DFA ``ad`` from state ``i`` to state ``j`` — exactly the
-    ``e``-edges of the paper's ``A'`` for the view ``e``, computed for
-    *all* source states in one semi-naive BFS: each product cell
-    (view-state, ``ad``-state) carries the bitmask of source states known
-    to reach it, and only newly added sources are propagated.
+    total DFA ``ad`` from state ``i`` to state ``j`` — the ``e``-edges of
+    the paper's ``A'`` for the view ``e``.  That is ``ans(view, Ad)`` with
+    ``Ad``'s states as nodes and its symbols as edge labels, so it runs on
+    :mod:`repro.sweep`: the view is compiled against ``Ad``'s alphabet
+    (symbols matched by equality or, given a ``theory``, formulae resolved
+    through it — Section 4.2's grounding-free product) and swept over
+    ``Ad`` in memory-bounded source windows.
     """
+    compiled = compile_automaton(
+        view, theory, ad.symbols, plain_symbols=theory is None
+    ).reversed()
     n = ad.num_states
-    if n > DENSE_RELATION_LIMIT:
-        return _view_transition_masks_sparse(ad, view)
-    dense_view = _dense_view(view)
-    symbol_index = {symbol: i for i, symbol in enumerate(ad.symbols)}
-    # Per view state: moves with the symbol resolved to ad's symbol index.
-    # Symbols outside ad's alphabet cannot occur (ad is total over the
-    # union alphabet) but are skipped defensively, matching the naive code.
-    view_moves: list[tuple[tuple[int, int], ...]] = []
-    for entries in dense_view.moves:
-        resolved = tuple(
-            (symbol_index[dense_view.symbols[s]], mask)
-            for s, mask in entries
-            if dense_view.symbols[s] in symbol_index
-        )
-        view_moves.append(resolved)
-
-    delta = ad.delta
-    reach: dict[int, list[int]] = {}
-    pending: dict[tuple[int, int], int] = {}
-    for v in iter_bits(dense_view.initials_mask):
-        row = reach.setdefault(v, [0] * n)
-        for d in range(n):
-            bit = 1 << d
-            row[d] |= bit
-            pending[(v, d)] = bit
-    while pending:
-        next_pending: dict[tuple[int, int], int] = {}
-        for (v, d), sources in pending.items():
-            ad_row = delta[d]
-            for ad_symbol, view_targets in view_moves[v]:
-                d_next = ad_row[ad_symbol]
-                targets = view_targets
-                while targets:
-                    low = targets & -targets
-                    targets ^= low
-                    v_next = low.bit_length() - 1
-                    row = reach.get(v_next)
-                    if row is None:
-                        row = reach[v_next] = [0] * n
-                    new = sources & ~row[d_next]
-                    if new:
-                        row[d_next] |= new
-                        cell = (v_next, d_next)
-                        bucket = next_pending.get(cell)
-                        next_pending[cell] = new if bucket is None else bucket | new
-        pending = next_pending
-
-    relation = [0] * n
-    for v in iter_bits(dense_view.finals_mask):
-        row = reach.get(v)
-        if row is None:
-            continue
-        for d in range(n):
-            sources = row[d]
-            bit = 1 << d
-            while sources:
-                low = sources & -sources
-                sources ^= low
-                relation[low.bit_length() - 1] |= bit
-    return tuple(relation)
-
-
-def _view_transition_masks_sparse(ad: DenseDFA, view: NFA) -> tuple[int, ...]:
-    """Per-source fallback for very large DFAs (bounded memory)."""
-    relation = [0] * ad.num_states
-    dense_view = _dense_view(view)
-    symbol_index = {symbol: i for i, symbol in enumerate(ad.symbols)}
-    view_moves = []
-    for entries in dense_view.moves:
-        view_moves.append(
-            tuple(
-                (symbol_index[dense_view.symbols[s]], mask)
-                for s, mask in entries
-                if dense_view.symbols[s] in symbol_index
-            )
-        )
-    delta = ad.delta
-    for source in range(ad.num_states):
-        # BFS over ad states, carrying per-state masks of view states.
-        seen: dict[int, int] = {source: dense_view.initials_mask}
-        frontier = [(source, dense_view.initials_mask)]
-        targets = 0
-        if dense_view.initials_mask & dense_view.finals_mask:
-            targets |= 1 << source
-        while frontier:
-            d, view_states = frontier.pop()
-            moved: dict[int, int] = {}
-            states = view_states
-            while states:
-                low = states & -states
-                states ^= low
-                for ad_symbol, view_targets in view_moves[low.bit_length() - 1]:
-                    d_next = delta[d][ad_symbol]
-                    moved[d_next] = moved.get(d_next, 0) | view_targets
-            for d_next, view_next in moved.items():
-                new = view_next & ~seen.get(d_next, 0)
-                if new:
-                    seen[d_next] = seen.get(d_next, 0) | new
-                    if new & dense_view.finals_mask:
-                        targets |= 1 << d_next
-                    frontier.append((d_next, new))
-        relation[source] = targets
-    return tuple(relation)
+    blocks = _BIGINT_MAX_STATES < n <= _BLOCK_MAX_STATES
+    index = _edge_index(ad, blocks)
+    width = max(1, _WINDOW_WORDS // n) << 6 if blocks else _BIGINT_WINDOW
+    rows = [0] * n
+    for lo in range(0, n, width):
+        hi = min(lo + width, n)
+        if blocks:
+            masks = matrix_to_masks(sweep_window(index, compiled, lo, hi)).items()
+        else:
+            reached, frontier, answers = _seed_all_pairs(index, compiled, lo, hi)
+            _sweep_to_fixpoint(index, compiled, reached, frontier, answers)
+            masks = enumerate(answers)
+        for state, mask in masks:
+            if mask:
+                rows[state] |= mask << lo
+    return tuple(rows)
 
 
 # ----------------------------------------------------------------------
-# Memoization: dense views and (Ad, view) relations
+# Memoization of (Ad, view) relations
 # ----------------------------------------------------------------------
-
-_VIEW_CACHE_MAXSIZE = 256
-_dense_view_cache: OrderedDict[NFA, DenseNFA] = OrderedDict()
 
 _RELATION_CACHE_MAXSIZE = 128
 _relation_cache: OrderedDict[tuple, tuple[int, ...]] = OrderedDict()
@@ -557,52 +534,28 @@ _relation_hits = 0
 _relation_misses = 0
 
 
-def _dense_view(view: NFA) -> DenseNFA:
-    """Dense form of a view automaton, memoized per NFA identity.
-
-    :class:`NFA` instances are immutable and hash by identity, so keying
-    on the object is sound (the same pattern as the RPQ engine's
-    compilation cache); :class:`~repro.core.alphabet.ViewSet` caches its
-    compiled NFAs, so repeated rewritings against one view set hit here.
-    """
-    cached = _dense_view_cache.get(view)
-    if cached is not None:
-        _dense_view_cache.move_to_end(view)
-        return cached
-    dense = dense_from_nfa(view)
-    _dense_view_cache[view] = dense
-    if len(_dense_view_cache) > _VIEW_CACHE_MAXSIZE:
-        _dense_view_cache.popitem(last=False)
-    return dense
-
-
 def cached_view_transition_masks(
-    ad: DenseDFA, view: NFA, ad_key: tuple | None = None
+    ad: DenseDFA, view: NFA, theory=None
 ) -> tuple[int, ...]:
     """Memoized :func:`view_transition_masks`.
 
-    Keyed on the *structural* fingerprint of ``ad`` plus the view automaton
-    identity, so `maximal_rewriting` and `existential_rewriting` of the
-    same query against the same view set — and batched rewritings of
-    repeated queries — share one relation computation.  Pass ``ad_key``
-    (from :meth:`DenseDFA.key`) to amortize the fingerprint across views.
-
-    Above :data:`DENSE_MINIMIZE_LIMIT` states the fingerprint itself is an
-    O(n * |Sigma|) tuple (tens of MB on the Section 3.2 reduction
-    instances, and the LRU would pin up to 128 of them), so huge automata
-    bypass the cache entirely.
+    Keyed on ``ad``'s structural fingerprint plus the identities of view
+    automaton and theory, so the maximal and existential rewritings of a
+    query, and repeats of either, share one computation.  An ``Ad`` too
+    large to fingerprint (``key()`` is ``None``) bypasses the memo.
     """
     global _relation_hits, _relation_misses
-    if ad.num_states > DENSE_MINIMIZE_LIMIT:
-        return view_transition_masks(ad, view)
-    key = (ad_key if ad_key is not None else ad.key(), view)
+    ad_key = ad.key()
+    if ad_key is None:
+        return view_transition_masks(ad, view, theory)
+    key = (ad_key, view, theory)
     cached = _relation_cache.get(key)
     if cached is not None:
         _relation_hits += 1
         _relation_cache.move_to_end(key)
         return cached
     _relation_misses += 1
-    relation = view_transition_masks(ad, view)
+    relation = view_transition_masks(ad, view, theory)
     _relation_cache[key] = relation
     if len(_relation_cache) > _RELATION_CACHE_MAXSIZE:
         _relation_cache.popitem(last=False)
@@ -622,9 +575,42 @@ def relation_cache_info() -> dict[str, int]:
 def relation_cache_clear() -> None:
     global _relation_hits, _relation_misses
     _relation_cache.clear()
-    _dense_view_cache.clear()
     _relation_hits = 0
     _relation_misses = 0
+
+
+def relation_nfa(
+    relations: Sequence[Sequence[int]],
+    symbols: Sequence[Hashable],
+    ad: DFA,
+    finals: Iterable[int] | None = None,
+    state_at: Sequence[int] | None = None,
+) -> NFA:
+    """The Sigma_E automaton on ``ad``'s states that the bit rows describe.
+
+    ``relations[k][i]`` is the target mask of the ``symbols[k]``-edges
+    out of dense state ``i``; ``state_at`` maps dense ids to ``ad``'s
+    (default: identity).  With the default ``finals``, ``ad``'s
+    non-finals, this is ``A'`` — which the construction never needs built.
+    """
+    if finals is None:
+        finals = ad.states - ad.finals
+    if state_at is None:
+        state_at = range(ad.num_states)
+    transitions: dict[int, dict[Hashable, set[int]]] = {}
+    for symbol, relation in zip(symbols, relations):
+        for index, mask in enumerate(relation):
+            if mask:
+                transitions.setdefault(state_at[index], {})[symbol] = {
+                    state_at[j] for j in iter_bits(mask)
+                }
+    return NFA(
+        states=ad.states,
+        alphabet=symbols,
+        transitions=transitions,
+        initials={ad.initial},
+        finals=finals,
+    )
 
 
 # ----------------------------------------------------------------------

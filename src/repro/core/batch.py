@@ -2,16 +2,15 @@
 
 The ROADMAP's serving scenario rewrites *many* queries against one view
 set.  Per query, the expensive inputs that depend only on the views — the
-compiled view NFAs, their dense bitmask forms, and (whenever two queries
-share a deterministic ``Ad``) the per-view transition relations — are
-identical, so :class:`BatchRewriter` computes them once and reuses them:
+compiled view NFAs and (whenever two queries share a deterministic
+``Ad``) the per-view transition relations — are identical, so
+:class:`BatchRewriter` computes them once and reuses them:
 
 * the :class:`~repro.core.alphabet.ViewSet` (and its cached view NFAs) is
-  built once in the constructor;
-* the dense forms of the view automata are precompiled eagerly into the
-  kernel's memo (:func:`repro.automata.compiled.cached_view_transition_masks`
-  keys relations on the view NFA *identity*, so sharing one ``ViewSet``
-  is what makes the memo hit);
+  built once in the constructor —
+  :func:`repro.automata.compiled.cached_view_transition_masks` keys
+  relations, and the sweep layer its compiled views, on the view NFA
+  *identity*, so sharing one ``ViewSet`` is what makes both memos hit;
 * results are memoized per query spec, so repeated queries — the common
   case in a serving workload — cost one dictionary lookup.
 
@@ -24,7 +23,6 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Hashable, Iterable, Mapping, Sequence
 
-from ..automata.compiled import _dense_view
 from .alphabet import LanguageSpec, ViewSet
 from .containing import ContainingRewriting, existential_rewriting
 from .result import RewritingResult
@@ -53,11 +51,6 @@ class BatchRewriter:
         self.minimize_ad = minimize_ad
         self.minimize_result = minimize_result
         self.max_cached = max_cached
-        # Warm the kernel's dense-view memo so the first query does not pay
-        # for view compilation, and so every later relation computation
-        # finds the dense forms by identity.
-        for symbol in self.views.symbols:
-            _dense_view(self.views.nfa(symbol))
         self._results: OrderedDict[Hashable, RewritingResult] = OrderedDict()
         self._existential: OrderedDict[Hashable, ContainingRewriting] = OrderedDict()
 

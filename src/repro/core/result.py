@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Hashable, Sequence
 
+from ..automata.compiled import relation_nfa
 from ..automata.dfa import DFA
 from ..automata.emptiness import enumerate_words, is_empty, shortest_word
 from ..automata.nfa import NFA
@@ -36,9 +37,9 @@ class RewritingResult:
     ad:
         The *total* deterministic automaton for ``L(E0)`` over Sigma
         (step 1 of the construction).
-    a_prime:
-        The Sigma_E automaton ``A'`` whose complement is the rewriting
-        (step 2).
+    a_prime_rows:
+        ``A'`` (step 2) as bit rows: ``a_prime_rows[k][i]`` is the target mask
+        of the ``views.symbols[k]``-edges out of ``Ad`` state ``i``.
     stats:
         Size and timing figures collected during construction.
     """
@@ -46,10 +47,20 @@ class RewritingResult:
     automaton: DFA
     views: ViewSet
     ad: DFA
-    a_prime: NFA
+    a_prime_rows: Sequence[Sequence[int]] | None = None
     stats: dict[str, float] = field(default_factory=dict)
+    _a_prime: NFA | None = field(default=None, repr=False)
     _regex: Regex | None = field(default=None, repr=False)
     _expansion: NFA | None = field(default=None, repr=False)
+
+    @property
+    def a_prime(self) -> NFA:
+        """``A'``, whose complement is the rewriting (built on first access)."""
+        if self._a_prime is None:
+            self._a_prime = relation_nfa(
+                self.a_prime_rows, self.views.symbols, self.ad
+            )
+        return self._a_prime
 
     def accepts(self, word: Sequence[Hashable]) -> bool:
         """Is the Sigma_E word ``word`` part of the rewriting?"""

@@ -22,12 +22,15 @@ pattern):
 
 * the **compiled pipeline** — the default behind :func:`maximal_rewriting`
   — runs on the dense bitmask kernel of :mod:`repro.automata.compiled`:
-  bitset subset construction for ``Ad``, the all-sources product BFS of
-  :func:`~repro.automata.compiled.view_transition_masks` for the ``A'``
-  edges (memoized per (``Ad``, view), shared with
-  :func:`~repro.core.containing.existential_rewriting`), and step 3 fused
-  into one complemented subset sweep plus dense Hopcroft that never
-  materializes the intermediate NFA;
+  bitset subset construction for ``Ad``; the ``A'`` edges as bit rows,
+  each view compiled against ``Ad``'s alphabet and swept over ``Ad``
+  (:func:`~repro.automata.compiled.view_transition_masks` on
+  :mod:`repro.sweep`, memoized per (``Ad``, view), shared with
+  :func:`~repro.core.containing.existential_rewriting`); and step 3 fused
+  into one complemented subset sweep plus dense Hopcroft over those rows
+  (:func:`rewrite_from_ad`, shared with Section 4.2's
+  :func:`~repro.rpq.rewriting.rewrite_rpq`).  The ``A'`` automaton itself
+  is built only if a caller asks the result for it;
 * the **naive oracle** — :func:`naive_maximal_rewriting` and the
   ``naive_``-prefixed step functions — is the original dict-of-set
   transcription, retained for differential testing
@@ -38,16 +41,15 @@ pattern):
 from __future__ import annotations
 
 import time
-from typing import Hashable, Iterable, Mapping
+from typing import Hashable, Iterable, Mapping, Sequence
 
 from ..automata.compiled import (
-    DENSE_MINIMIZE_LIMIT,
     DenseDFA,
     cached_view_transition_masks,
     dense_from_dfa,
     determinize_dense,
-    iter_bits,
     minimize_dense,
+    relation_nfa,
     rewrite_sweep,
 )
 from ..automata.determinize import determinize
@@ -61,6 +63,7 @@ from .result import RewritingResult
 __all__ = [
     "maximal_rewriting",
     "naive_maximal_rewriting",
+    "rewrite_from_ad",
     "build_ad",
     "naive_build_ad",
     "build_a_prime",
@@ -107,27 +110,51 @@ def maximal_rewriting(
     stats["ad_states"] = ad.num_states
     stats["time_ad"] = time.perf_counter() - started
 
+    rewriting, relations = rewrite_from_ad(
+        dense_ad,
+        [views.nfa(symbol) for symbol in views.symbols],
+        views.symbols,
+        stats,
+        minimize_result=minimize_result,
+    )
+    return RewritingResult(
+        automaton=rewriting, views=views, ad=ad, a_prime_rows=relations, stats=stats
+    )
+
+
+def rewrite_from_ad(
+    dense_ad: DenseDFA,
+    view_automata: Sequence[NFA],
+    symbols: tuple[Hashable, ...],
+    stats: dict[str, float],
+    minimize_result: bool = True,
+    theory=None,
+) -> tuple[DFA, list[tuple[int, ...]]]:
+    """Steps 2 and 3 on the dense kernel: ``(rewriting, A' bit rows)``.
+
+    The one pipeline behind Section 2 (:func:`maximal_rewriting`) and
+    Section 4.2 (:func:`~repro.rpq.rewriting.rewrite_rpq`, whose views may
+    carry formula symbols that ``theory`` resolves).  ``relations[k][i]``
+    is the target mask of the ``symbols[k]``-edges out of ``Ad`` state
+    ``i``.  Fills the step-2/3 entries of ``stats``.
+    """
     started = time.perf_counter()
-    ad_key = _relation_key(dense_ad)
     relations = [
-        cached_view_transition_masks(dense_ad, views.nfa(symbol), ad_key)
-        for symbol in views.symbols
+        cached_view_transition_masks(dense_ad, view, theory)
+        for view in view_automata
     ]
-    a_prime = _masks_to_nfa(relations, ad, views, finals=ad.states - ad.finals)
-    stats["a_prime_transitions"] = a_prime.num_transitions
+    stats["a_prime_transitions"] = sum(
+        mask.bit_count() for relation in relations for mask in relation
+    )
     stats["time_a_prime"] = time.perf_counter() - started
 
     started = time.perf_counter()
-    dense_rewriting = rewrite_sweep(
-        relations, dense_ad, views.symbols, minimize_result=minimize_result
-    )
-    rewriting = dense_rewriting.to_dfa()
+    rewriting = rewrite_sweep(
+        relations, dense_ad, symbols, minimize_result=minimize_result
+    ).to_dfa()
     stats["rewriting_states"] = rewriting.num_states
     stats["time_complement"] = time.perf_counter() - started
-
-    return RewritingResult(
-        automaton=rewriting, views=views, ad=ad, a_prime=a_prime, stats=stats
-    )
+    return rewriting, relations
 
 
 def naive_maximal_rewriting(
@@ -158,7 +185,7 @@ def naive_maximal_rewriting(
     stats["time_complement"] = time.perf_counter() - started
 
     return RewritingResult(
-        automaton=rewriting, views=views, ad=ad, a_prime=a_prime, stats=stats
+        automaton=rewriting, views=views, ad=ad, stats=stats, _a_prime=a_prime
     )
 
 
@@ -216,11 +243,7 @@ def naive_build_ad(
     return dfa.completed(sigma)
 
 
-def sigma_e_automaton(
-    ad: DFA,
-    views: ViewSet | Mapping[Hashable, NFA],
-    finals: Iterable[int],
-) -> NFA:
+def sigma_e_automaton(ad: DFA, views: ViewSet, finals: Iterable[int]) -> NFA:
     """The Sigma_E automaton on ``Ad``'s states with the given final set.
 
     This is the shared step-2 core: an ``e``-edge ``s_i -> s_j`` iff some
@@ -228,36 +251,18 @@ def sigma_e_automaton(
     ``finals = Ad's non-finals`` it is the paper's ``A'``
     (:func:`build_a_prime`); with ``finals = Ad's finals`` it is the
     existential rewriting automaton of
-    :func:`~repro.core.containing.existential_rewriting`; the grounded
-    Section 4.2 construction passes its per-symbol view automata as a
-    plain mapping.  The edge relation runs on the compiled kernel and is
-    memoized per (``Ad``, view), so all callers share one computation.
+    :func:`~repro.core.containing.existential_rewriting`.  The edge
+    relation runs on the compiled kernel and is memoized per (``Ad``,
+    view), so all callers share one computation.
     """
     if not ad.is_total():
         raise ValueError("sigma_e_automaton requires a total DFA")
-    if isinstance(views, ViewSet):
-        view_nfas: Mapping[Hashable, NFA] = {
-            symbol: views.nfa(symbol) for symbol in views.symbols
-        }
-    else:
-        view_nfas = views
     dense_ad, state_at = dense_from_dfa(ad)
-    ad_key = _relation_key(dense_ad)
-    transitions: dict[int, dict[Hashable, set[int]]] = {}
-    for symbol, view_nfa in view_nfas.items():
-        relation = cached_view_transition_masks(dense_ad, view_nfa, ad_key)
-        for index, mask in enumerate(relation):
-            if mask:
-                transitions.setdefault(state_at[index], {})[symbol] = {
-                    state_at[j] for j in iter_bits(mask)
-                }
-    return NFA(
-        states=ad.states,
-        alphabet=tuple(view_nfas),
-        transitions=transitions,
-        initials={ad.initial},
-        finals=finals,
-    )
+    relations = [
+        cached_view_transition_masks(dense_ad, views.nfa(symbol))
+        for symbol in views.symbols
+    ]
+    return relation_nfa(relations, views.symbols, ad, finals, state_at)
 
 
 def build_a_prime(ad: DFA, views: ViewSet) -> NFA:
@@ -288,39 +293,6 @@ def naive_build_a_prime(ad: DFA, views: ViewSet) -> NFA:
         transitions=transitions,
         initials={ad.initial},
         finals=ad.states - ad.finals,
-    )
-
-
-def _relation_key(dense_ad: DenseDFA) -> tuple | None:
-    """The relation-cache fingerprint, or ``None`` for huge automata.
-
-    Above the dense limit the cache is bypassed anyway (see
-    :func:`~repro.automata.compiled.cached_view_transition_masks`), so
-    building the O(n * |Sigma|) fingerprint would be pure waste.
-    """
-    if dense_ad.num_states > DENSE_MINIMIZE_LIMIT:
-        return None
-    return dense_ad.key()
-
-
-def _masks_to_nfa(
-    relations: list[tuple[int, ...]],
-    ad: DFA,
-    views: ViewSet,
-    finals: Iterable[int],
-) -> NFA:
-    """Materialize a Sigma_E NFA from relation masks (identity numbering)."""
-    transitions: dict[int, dict[Hashable, set[int]]] = {}
-    for symbol, relation in zip(views.symbols, relations):
-        for source, mask in enumerate(relation):
-            if mask:
-                transitions.setdefault(source, {})[symbol] = set(iter_bits(mask))
-    return NFA(
-        states=ad.states,
-        alphabet=views.symbols,
-        transitions=transitions,
-        initials={ad.initial},
-        finals=finals,
     )
 
 

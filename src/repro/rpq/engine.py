@@ -9,14 +9,10 @@ adjacency, frontier batching):
 
 1. **Compile once.**  :class:`CompiledAutomaton` precomputes, per NFA
    state, a ``label -> next-states`` table restricted to the labels that
-   actually occur in the database.  :class:`~repro.rpq.formulas.Formula`
-   symbols are resolved against the :class:`~repro.rpq.theory.Theory`
-   exactly once, at compile time, so the inner loop never evaluates a
-   formula.  States that cannot lie on an accepting run are trimmed
-   (:func:`_trim_useless_states` — complete rewriting DFAs carry a dead
-   sink that would otherwise make the product sweep quadratic in the
-   graph).  Compilation results are memoized in a small LRU cache keyed
-   on (automaton, theory, label domain).
+   occur in the database, formula symbols resolved against the theory at
+   compile time, useless states trimmed, results memoized.  This and the
+   all-pairs sweep live in :mod:`repro.sweep` (the rewriting construction
+   runs them over ``Ad``) and are re-exported here.
 
 2. **Index by label.**  :class:`~repro.rpq.graphdb.GraphDB` stores its
    edges label-first over dense integer node ids with a mirrored reverse
@@ -24,12 +20,9 @@ adjacency, frontier batching):
    set unions (``successors_bulk`` / ``predecessors_bulk``).
 
 3. **Macro-frontier sweeps.**  :func:`evaluate_all` answers the full
-   all-pairs query in *one* semi-naive sweep: the BFS frontier maps each
-   (state, node) to the *set of source nodes* newly known to reach it, and
-   each round pushes those source sets across label-indexed edges in bulk.
-   Every source is added to a given (state, node) cell at most once, so
-   the work is shared across all |V| sources instead of being redone per
-   source.  :func:`evaluate_single_source` is the single-source variant
+   all-pairs query in *one* semi-naive sweep shared across all |V|
+   sources (:mod:`repro.sweep.bigint`, or the block kernel);
+   :func:`evaluate_single_source` is the single-source variant
    (frontiers are plain node sets) and :func:`evaluate_pair` decides a
    single pair with a bidirectional search that alternately grows the
    smaller of a forward frontier (from the source, via the transition
@@ -43,13 +36,17 @@ triple.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Hashable, Iterable, Mapping
+from typing import Hashable, Mapping
 
-from ..automata.nfa import NFA
-from .formulas import Formula
+from ..sweep import kernel as _kernel
+from ..sweep.bigint import _decode_answer_masks, _seed_all_pairs, _sweep_to_fixpoint
+from ..sweep.table import (
+    CompiledAutomaton,
+    compile_automaton,
+    compile_cache_clear,
+    compile_cache_info,
+)
 from .graphdb import GraphDB
-from .theory import Theory
 
 __all__ = [
     "CompiledAutomaton",
@@ -92,213 +89,6 @@ def resolve_backend(db: GraphDB, backend: str = "auto") -> str:
     if backend != "auto":
         return backend
     return "numpy" if db.num_edges >= NUMPY_BACKEND_MIN_EDGES else "bigint"
-
-
-class CompiledAutomaton:
-    """An epsilon-free NFA specialized to a database's label domain.
-
-    ``table[state][label]`` is the frozenset of successor states reached by
-    reading an edge with that concrete label — formula symbols have already
-    been expanded to the satisfying labels, and labels absent from the
-    database have been dropped.  ``rtable`` is the same relation reversed
-    (``rtable[state][label]`` = predecessor states), used by the backward
-    half of the bidirectional search.
-    """
-
-    __slots__ = (
-        "table",
-        "rtable",
-        "initials",
-        "finals",
-        "accepts_epsilon",
-        "num_states",
-    )
-
-    def __init__(
-        self,
-        table: dict[int, dict[Hashable, frozenset[int]]],
-        initials: frozenset[int],
-        finals: frozenset[int],
-    ):
-        self.table = table
-        self.initials = initials
-        self.finals = finals
-        self.accepts_epsilon = bool(initials & finals)
-        rtable: dict[int, dict[Hashable, set[int]]] = {}
-        states = set(initials) | set(finals)
-        for state, row in table.items():
-            states.add(state)
-            for label, next_states in row.items():
-                states |= next_states
-                for next_state in next_states:
-                    rtable.setdefault(next_state, {}).setdefault(
-                        label, set()
-                    ).add(state)
-        self.num_states = len(states)
-        self.rtable: dict[int, dict[Hashable, frozenset[int]]] = {
-            state: {label: frozenset(srcs) for label, srcs in row.items()}
-            for state, row in rtable.items()
-        }
-
-    def __repr__(self) -> str:
-        return (
-            f"CompiledAutomaton(states={self.num_states}, "
-            f"labels={sorted(map(repr, {l for r in self.table.values() for l in r}))})"
-        )
-
-
-# ----------------------------------------------------------------------
-# Compilation + LRU cache
-# ----------------------------------------------------------------------
-
-_CACHE_MAXSIZE = 128
-_cache: OrderedDict[tuple, CompiledAutomaton] = OrderedDict()
-_cache_hits = 0
-_cache_misses = 0
-
-
-def compile_cache_info() -> dict[str, int]:
-    """Hit/miss/size counters of the compilation cache (for tests/ops)."""
-    return {
-        "hits": _cache_hits,
-        "misses": _cache_misses,
-        "size": len(_cache),
-        "maxsize": _CACHE_MAXSIZE,
-    }
-
-
-def compile_cache_clear() -> None:
-    """Empty the compilation cache and reset its hit/miss counters —
-    used by tests and benchmarks that must measure or assert cold-path
-    behaviour (a serving process never needs to call this)."""
-    _cache.clear()
-    global _cache_hits, _cache_misses
-    _cache_hits = 0
-    _cache_misses = 0
-
-
-def compile_automaton(
-    nfa: NFA,
-    theory: Theory | None,
-    labels: Iterable[Hashable],
-    plain_symbols: bool = False,
-) -> CompiledAutomaton:
-    """Specialize ``nfa`` to the concrete edge-label domain ``labels``.
-
-    Formula symbols are resolved through ``theory`` (required if any are
-    present, unless ``plain_symbols`` forces the paper's ``ans`` semantics
-    where every symbol — formula-valued or not — is matched by equality).
-    Results are memoized per (automaton identity, theory identity, label
-    domain, symbol discipline); ``NFA`` and ``Theory`` instances are
-    immutable, so identity keying is sound.
-    """
-    global _cache_hits, _cache_misses
-    label_domain = labels if isinstance(labels, frozenset) else frozenset(labels)
-    key = (nfa, theory, label_domain, plain_symbols)
-    cached = _cache.get(key)
-    if cached is not None:
-        _cache_hits += 1
-        _cache.move_to_end(key)
-        return cached
-    _cache_misses += 1
-
-    if not plain_symbols:
-        formula_symbols = [s for s in nfa.alphabet if isinstance(s, Formula)]
-        if formula_symbols and theory is None:
-            raise ValueError(
-                "query uses formulae; a Theory is required to evaluate it"
-            )
-    if nfa.has_epsilon_moves():
-        nfa = nfa.without_epsilon()
-
-    satisfying: dict[Formula, frozenset[Hashable]] = {}
-    table: dict[int, dict[Hashable, frozenset[int]]] = {}
-    for state, row in nfa.compiled_rows().items():
-        compiled_row: dict[Hashable, set[int]] = {}
-        for symbol, next_states in row.items():
-            if not plain_symbols and isinstance(symbol, Formula):
-                matched = satisfying.get(symbol)
-                if matched is None:
-                    matched = theory.satisfying(symbol) & label_domain
-                    satisfying[symbol] = matched
-            else:
-                matched = (symbol,) if symbol in label_domain else ()
-            for label in matched:
-                targets = compiled_row.get(label)
-                if targets is None:
-                    compiled_row[label] = set(next_states)
-                else:
-                    targets |= next_states
-        if compiled_row:
-            table[state] = {
-                label: frozenset(targets)
-                for label, targets in compiled_row.items()
-            }
-    table, initials, finals = _trim_useless_states(
-        table, nfa.initials, nfa.finals
-    )
-    compiled = CompiledAutomaton(table, initials, finals)
-    _cache[key] = compiled
-    if len(_cache) > _CACHE_MAXSIZE:
-        _cache.popitem(last=False)
-    return compiled
-
-
-def _trim_useless_states(
-    table: dict[int, dict[Hashable, frozenset[int]]],
-    initials: frozenset[int],
-    finals: frozenset[int],
-) -> tuple[
-    dict[int, dict[Hashable, frozenset[int]]], frozenset[int], frozenset[int]
-]:
-    """Drop states that cannot lie on any accepting run.
-
-    Rewriting DFAs arrive *complete* (the Theorem 2.2 complementation
-    needs totality), so they carry a dead sink looping on every symbol.
-    Left in the table, the sink turns the product sweep quadratic: every
-    source saturates ``reached[sink]`` across the whole graph for
-    answers that can never materialize.  Keeping only states both
-    reachable from an initial state and co-reachable to a final one
-    leaves the answer set untouched while the sweep's work drops to the
-    useful product — the difference between seconds and minutes on a
-    50k-edge store.  Initial-and-final states are always useful, so the
-    epsilon-acceptance bit survives trimming unchanged.
-    """
-    forward = set(initials)
-    stack = list(initials)
-    while stack:
-        state = stack.pop()
-        for next_states in table.get(state, {}).values():
-            for next_state in next_states:
-                if next_state not in forward:
-                    forward.add(next_state)
-                    stack.append(next_state)
-    predecessors: dict[int, set[int]] = {}
-    for state, row in table.items():
-        for next_states in row.values():
-            for next_state in next_states:
-                predecessors.setdefault(next_state, set()).add(state)
-    backward = set(finals)
-    stack = list(finals)
-    while stack:
-        state = stack.pop()
-        for prev_state in predecessors.get(state, ()):
-            if prev_state not in backward:
-                backward.add(prev_state)
-                stack.append(prev_state)
-    useful = forward & backward
-    trimmed: dict[int, dict[Hashable, frozenset[int]]] = {}
-    for state, row in table.items():
-        if state not in useful:
-            continue
-        trimmed_row = {
-            label: kept
-            for label, next_states in row.items()
-            if (kept := next_states & useful)
-        }
-        if trimmed_row:
-            trimmed[state] = trimmed_row
-    return trimmed, initials & useful, finals & useful
 
 
 # ----------------------------------------------------------------------
@@ -352,137 +142,6 @@ def evaluate_all_sorted(
     ]
 
 
-def _seed_all_pairs(
-    db, compiled: CompiledAutomaton, lo: int = 0, hi: int | None = None
-) -> tuple[dict[int, list[int]], dict[int, dict[int, int]], list[int]]:
-    """Fresh ``(reached, frontier, answer_masks)`` for sources in ``[lo, hi)``.
-
-    ``reached[state][node_id]`` is the bitmask of source ids known to
-    reach the ``(state, node)`` product point, re-based to the window
-    (bit ``j`` is source ``lo + j``, so masks are ``hi - lo`` bits wide
-    however large the graph); the frontier carries the seed deltas of
-    the first round; ``answer_masks[node]`` starts at the epsilon answers
-    (the window's diagonal) when the automaton accepts the empty word.
-    The default window is the whole graph — the monolithic sweep of
-    :func:`_all_pairs_ids` and of
-    :class:`repro.rpq.incremental.DeltaSweepState`, whose retained state
-    is exactly this triple after :func:`_sweep_to_fixpoint` drained the
-    frontier; :class:`repro.rpq.sharded.ParallelEvaluator` passes one
-    shard's range.  ``db`` is anything with ``num_nodes`` and
-    ``label_out_index`` (a :class:`GraphDB` or a frozen
-    :class:`~repro.rpq.csr.CSRSnapshot`).
-    """
-    num_nodes = db.num_nodes
-    if hi is None:
-        hi = num_nodes
-    reached: dict[int, list[int]] = {}
-    frontier: dict[int, dict[int, int]] = {}
-    for state in compiled.initials:
-        # Seed only sources with an out-edge matching this state's row:
-        # any other source can contribute nothing beyond the epsilon answer.
-        state_reached = [0] * num_nodes
-        bucket: dict[int, int] = {}
-        for label in compiled.table.get(state, ()):
-            sources = db.label_out_index(label)
-            if hi - lo < len(sources):  # scan the smaller side
-                seeds = [v for v in range(lo, hi) if v in sources]
-            else:
-                seeds = [v for v in sources if lo <= v < hi]
-            for v in seeds:
-                state_reached[v] = bucket[v] = 1 << (v - lo)
-        reached[state] = state_reached
-        if bucket:
-            frontier[state] = bucket
-    answer_masks = [0] * num_nodes
-    if compiled.accepts_epsilon:
-        for v in range(lo, hi):
-            answer_masks[v] = 1 << (v - lo)
-    return reached, frontier, answer_masks
-
-
-def _sweep_to_fixpoint(
-    db,
-    compiled: CompiledAutomaton,
-    reached: dict[int, list[int]],
-    frontier: dict[int, dict[int, int]],
-    answer_masks: list[int],
-) -> None:
-    """Run the macro-frontier loop until the frontier drains.
-
-    Mutates ``reached`` and ``answer_masks`` in place.  The loop is
-    *resumable*: it only requires that every frontier delta is already
-    recorded in ``reached`` — whether the frontier came from a fresh
-    :func:`_seed_all_pairs` or from the inserted-edge deltas of an
-    incremental update, the masks saturate to the same least fixpoint
-    (semi-naive evaluation is confluent), which is what makes
-    delta-driven re-evaluation bit-identical to a full recompute.  Of
-    ``db`` only ``label_out_index`` is read, so a frozen snapshot sweeps
-    exactly like the live graph it was taken from.
-    """
-    finals = compiled.finals
-    while frontier:
-        next_frontier: dict[int, dict[int, int]] = {}
-        for state, node_sources in frontier.items():
-            row = compiled.table.get(state)
-            if not row:
-                continue
-            for label, next_states in row.items():
-                adjacency = db.label_out_index(label)
-                if not adjacency:
-                    continue
-                if len(adjacency) < len(node_sources):
-                    hot = [
-                        (adjacency[v], node_sources[v])
-                        for v in adjacency
-                        if v in node_sources
-                    ]
-                else:
-                    hot = [
-                        (adjacency[v], sources)
-                        for v, sources in node_sources.items()
-                        if v in adjacency
-                    ]
-                for next_state in next_states:
-                    state_reached = reached.get(next_state)
-                    if state_reached is None:
-                        state_reached = reached[next_state] = [0] * len(
-                            answer_masks
-                        )
-                    bucket = next_frontier.get(next_state)
-                    if bucket is None:
-                        bucket = next_frontier[next_state] = {}
-                    is_final = next_state in finals
-                    for targets, sources in hot:
-                        for w in targets:
-                            delta = sources & ~state_reached[w]
-                            if not delta:
-                                continue
-                            state_reached[w] |= delta
-                            if w in bucket:
-                                bucket[w] |= delta
-                            else:
-                                bucket[w] = delta
-                            if is_final:
-                                answer_masks[w] |= delta
-        frontier = {
-            state: bucket for state, bucket in next_frontier.items() if bucket
-        }
-
-
-def _decode_answer_masks(
-    target_masks: Iterable[tuple[int, int]], lo: int = 0
-) -> list[tuple[int, int]]:
-    """Unpack ``(target_id, source bitmask)`` items into dense-id pairs
-    (unordered); bit ``j`` of a mask is source ``lo + j``."""
-    id_pairs: list[tuple[int, int]] = []
-    for target_id, mask in target_masks:
-        while mask:
-            low_bit = mask & -mask
-            id_pairs.append((low_bit.bit_length() - 1 + lo, target_id))
-            mask ^= low_bit
-    return id_pairs
-
-
 def _all_pairs_ids(
     db: GraphDB,
     compiled: CompiledAutomaton,
@@ -501,8 +160,6 @@ def _all_pairs_ids(
     if db.num_nodes == 0 or not compiled.initials:
         return []
     if resolve_backend(db, backend) == "numpy":
-        from . import kernel as _kernel
-
         return _kernel.all_pairs_ids(db.to_csr(), compiled)
     reached, frontier, answer_masks = _seed_all_pairs(db, compiled)
     _sweep_to_fixpoint(db, compiled, reached, frontier, answer_masks)

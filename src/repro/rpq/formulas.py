@@ -20,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Hashable
 
+from ..sweep.table import FormulaSymbol
+
 if TYPE_CHECKING:  # pragma: no cover
     from .theory import Theory
 
@@ -27,7 +29,7 @@ __all__ = ["Formula", "Const", "Pred", "And", "Or", "Not", "Top", "TOP"]
 
 
 @dataclass(frozen=True)
-class Formula:
+class Formula(FormulaSymbol):
     """A unary formula ``lambda z. phi(z)`` over the finite domain D
     (Section 4.1, the [BDFS97]-style approach): RPQ alphabet symbols that
     are formulae match an edge label ``a`` iff ``T |= phi(a)``

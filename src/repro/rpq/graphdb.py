@@ -181,7 +181,7 @@ class GraphDB:
             self._csr_cache is None
             or self._csr_cache_mutations != self._mutations
         ):
-            from .csr import CSRSnapshot
+            from ..sweep.csr import CSRSnapshot
 
             self._csr_cache = CSRSnapshot.from_graph(self)
             self._csr_cache_mutations = self._mutations

@@ -501,8 +501,8 @@ class NumpyDeltaSweepState:
     def __init__(self, db: GraphDB, compiled: CompiledAutomaton):
         import numpy as np
 
-        from . import kernel as _kernel
-        from .csr import blocks_for
+        from ..sweep import kernel as _kernel
+        from ..sweep.csr import blocks_for
 
         self.db = db
         self.compiled = compiled
@@ -812,7 +812,7 @@ class NumpyDeltaSweepState:
         """
         import numpy as np
 
-        from .csr import blocks_for
+        from ..sweep.csr import blocks_for
 
         old_nodes = self.num_nodes
         num_blocks = blocks_for(num_nodes)
@@ -865,7 +865,7 @@ class NumpyDeltaSweepState:
         """The current answers as dense-id pairs, sorted by ``(source,
         target)`` — ``kernel.decode_matrix``'s order contract, relied on
         here and in :meth:`answers_sorted` without a second sort."""
-        from . import kernel as _kernel
+        from ..sweep import kernel as _kernel
 
         sources, targets = _kernel.decode_matrix(
             self.answers_matrix, self.num_nodes

@@ -44,6 +44,7 @@ class RPQ:
 
     def __init__(self, spec: QuerySpec, name: str | None = None):
         self._eps_free: NFA | None = None
+        self._grounded: tuple[Theory, frozenset, NFA] | None = None
         if isinstance(spec, RPQ):
             self._nfa = spec.nfa()
             self._eps_free = spec._eps_free
@@ -125,10 +126,16 @@ class RPQ:
         ``restrict_to`` optionally restricts the grounding alphabet — pass
         the class representatives from :meth:`Theory.representatives` to
         apply the paper's partitioning optimization.
+
+        The latest grounding is kept: a repeat returns the *same* automaton,
+        so caches keyed on automaton identity (the ``A'``-relation memo) hit.
         """
         allowed = (
             frozenset(restrict_to) if restrict_to is not None else theory.domain
         )
+        memo = self._grounded
+        if memo is not None and memo[0] is theory and memo[1] == allowed:
+            return memo[2]
         nfa = self._nfa
         transitions: dict[int, dict[Hashable, set[int]]] = {}
         for src, label, dst in nfa.iter_transitions():
@@ -145,13 +152,15 @@ class RPQ:
                 constants = {label} & allowed
             for constant in constants:
                 transitions.setdefault(src, {}).setdefault(constant, set()).add(dst)
-        return NFA(
+        grounded = NFA(
             states=nfa.states,
             alphabet=allowed,
             transitions=transitions,
             initials=nfa.initials,
             finals=nfa.finals,
         )
+        self._grounded = (theory, allowed, grounded)
+        return grounded
 
     def __repr__(self) -> str:
         label = self.name or (str(self.expr) if self.expr is not None else "<nfa>")

@@ -13,14 +13,20 @@ rewriting misses.  Instead the construction works modulo T:
    ``s_i`` to ``s_j``.
 3. The rewriting ``R_{Q,Q0}`` is the complement of ``A'`` (Theorem 4.2).
 
-Step 2 is implemented two ways, selectable via ``strategy``:
+Steps 2 and 3 are Section 2's, run by the same code
+(:func:`repro.core.rewriter.rewrite_from_ad`): each view is compiled
+against ``Ad``'s alphabet and swept over ``Ad``, and the ``A'`` bit rows
+are complemented directly.  ``strategy`` only selects how a view's
+symbols become D-labels:
 
-* ``"ground"`` — ground every view with ``Q^*`` and reuse the plain
-  Section 2 machinery;
-* ``"product"`` — the paper's optimization: never ground the views; the
-  product of ``A_d^{i,j}`` with the *formula* automaton of the view has a
-  transition ``(s1, s2) -> (s1', s2')`` iff some constant ``a`` satisfies
-  the formula and moves ``Ad`` from ``s1`` to ``s1'``.
+* ``"ground"`` — ground every view with ``Q^*`` first, then compile the
+  plain D-automaton;
+* ``"product"`` — the paper's optimization: never ground the views.  The
+  product of ``A_d^{i,j}`` with the view's *formula* automaton steps
+  ``(s1, s2) -> (s1', s2')`` iff some constant ``a`` satisfies the formula
+  and moves ``Ad`` from ``s1`` to ``s1'`` — what compiling the formula
+  automaton against ``Ad``'s alphabet yields, each formula resolved once
+  to the constants that satisfy it.
 
 The remark at the end of Section 4.2 — partitioning constants into classes
 with equal formula signatures — is available via ``partition=True``.
@@ -29,20 +35,18 @@ with equal formula signatures — is available via ``partition=True``.
 from __future__ import annotations
 
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Mapping, Sequence
 
+from ..automata.compiled import determinize_dense, minimize_dense, relation_nfa
 from ..automata.containment import containment_counterexample, is_contained
-from ..automata.determinize import determinize
 from ..automata.dfa import DFA
 from ..automata.emptiness import enumerate_words, is_empty, shortest_word
-from ..automata.minimize import minimize
-from ..automata.nfa import EPS, NFA
-from ..automata.operations import complement
+from ..automata.nfa import NFA
 from ..automata.state_elim import to_regex
 from ..core.alphabet import ViewSet
 from ..core.expansion import expansion_nfa
+from ..core.rewriter import rewrite_from_ad
 from ..regex.ast import Regex
 from .formulas import Const, Formula
 from .graphdb import GraphDB
@@ -59,17 +63,31 @@ Pair = tuple[Hashable, Hashable]
 
 @dataclass
 class RPQRewritingResult:
-    """The Sigma_Q-maximal rewriting ``R_{Q,Q0}`` of an RPQ (Theorem 4.2)."""
+    """The Sigma_Q-maximal rewriting ``R_{Q,Q0}`` of an RPQ (Theorem 4.2).
+
+    ``a_prime_rows[k][i]`` is the target mask of the ``views.symbols[k]``
+    edges of ``A'`` out of ``Ad`` state ``i``; :attr:`a_prime` builds from it.
+    """
 
     automaton: DFA
     views: RPQViews
     theory: Theory
     ad: DFA
-    a_prime: NFA
+    a_prime_rows: Sequence[Sequence[int]]
     alphabet_used: frozenset[Hashable]
     stats: dict[str, float] = field(default_factory=dict)
+    _a_prime: NFA | None = field(default=None, repr=False)
     _regex: Regex | None = field(default=None, repr=False)
     _grounded_views: ViewSet | None = field(default=None, repr=False)
+
+    @property
+    def a_prime(self) -> NFA:
+        """The Sigma_Q automaton ``A'`` whose complement is the rewriting."""
+        if self._a_prime is None:
+            self._a_prime = relation_nfa(
+                self.a_prime_rows, self.views.symbols, self.ad
+            )
+        return self._a_prime
 
     def accepts(self, word: Sequence[Hashable]) -> bool:
         """Is the Sigma_Q word part of the rewriting?"""
@@ -161,31 +179,31 @@ def rewrite_rpq(
 
     started = time.perf_counter()
     grounded_q0 = query.grounded(theory, restrict_to=alphabet)
-    ad = minimize(determinize(grounded_q0)).completed(alphabet)
+    dense_ad = minimize_dense(
+        determinize_dense(grounded_q0, tuple(sorted(alphabet, key=repr)))
+    )
+    ad = dense_ad.to_dfa()
     stats["ad_states"] = ad.num_states
     stats["time_ad"] = time.perf_counter() - started
 
-    started = time.perf_counter()
-    if strategy == "ground":
-        a_prime = _a_prime_grounded(ad, views, theory, alphabet)
-    else:
-        a_prime = _a_prime_product(ad, views, theory, alphabet)
-    stats["a_prime_transitions"] = a_prime.num_transitions
-    stats["time_a_prime"] = time.perf_counter() - started
-
-    started = time.perf_counter()
-    rewriting = complement(a_prime, alphabet=views.symbols)
-    if minimize_result:
-        rewriting = minimize(rewriting, trim=False)
-    stats["rewriting_states"] = rewriting.num_states
-    stats["time_complement"] = time.perf_counter() - started
-
+    ground = strategy == "ground"
+    rewriting, relations = rewrite_from_ad(
+        dense_ad,
+        [
+            view.grounded(theory, restrict_to=alphabet) if ground else view.nfa()
+            for view in map(views.rpq, views.symbols)
+        ],
+        views.symbols,
+        stats,
+        minimize_result=minimize_result,
+        theory=None if ground else theory,
+    )
     return RPQRewritingResult(
         automaton=rewriting,
         views=views,
         theory=theory,
         ad=ad,
-        a_prime=a_prime,
+        a_prime_rows=relations,
         alphabet_used=frozenset(alphabet),
         stats=stats,
     )
@@ -226,81 +244,3 @@ def _grounding_alphabet(
     formulas |= {Const(a) for a in plain}
     representatives = theory.representatives(formulas)
     return frozenset(set(representatives.values()))
-
-
-def _a_prime_grounded(
-    ad: DFA, views: RPQViews, theory: Theory, alphabet: frozenset[Hashable]
-) -> NFA:
-    """Step 2 via full view grounding + the shared compiled relation core."""
-    from ..core.rewriter import sigma_e_automaton
-
-    grounded = {
-        symbol: views.rpq(symbol).grounded(theory, restrict_to=alphabet)
-        for symbol in views.symbols
-    }
-    return sigma_e_automaton(ad, grounded, finals=ad.states - ad.finals)
-
-
-def _a_prime_product(
-    ad: DFA, views: RPQViews, theory: Theory, alphabet: frozenset[Hashable]
-) -> NFA:
-    """Step 2 via the paper's grounding-free product automaton ``K``.
-
-    For each view and each ``Ad`` state ``s_i``, search the product of
-    ``A_d^{i,.}`` with the view's *formula* automaton: the pair
-    ``(s1, s2)`` steps to ``(s1', s2')`` iff the view has a transition
-    ``s2 --phi--> s2'`` and some constant ``a`` (in the grounding alphabet)
-    satisfies ``phi`` with ``delta_d(s1, a) = s1'``.  Only the satisfying
-    sets of the formulae that actually occur are ever computed — formulae
-    are instantiated "only to those constants that are actually necessary".
-    """
-    transitions: dict[int, dict[Hashable, set[int]]] = {}
-    for view_symbol in views.symbols:
-        view_nfa = views.rpq(view_symbol).nfa().without_epsilon()
-        satisfying: dict[Hashable, frozenset[Hashable]] = {}
-        for symbol in view_nfa.alphabet:
-            if isinstance(symbol, Formula):
-                satisfying[symbol] = theory.satisfying(symbol) & alphabet
-            else:
-                satisfying[symbol] = frozenset({symbol}) & alphabet
-        for source in ad.states:
-            targets = _product_targets(ad, view_nfa, satisfying, source)
-            if targets:
-                transitions.setdefault(source, {})[view_symbol] = targets
-    return NFA(
-        states=ad.states,
-        alphabet=views.symbols,
-        transitions=transitions,
-        initials={ad.initial},
-        finals=ad.states - ad.finals,
-    )
-
-
-def _product_targets(
-    ad: DFA,
-    view_nfa: NFA,
-    satisfying: Mapping[Hashable, frozenset[Hashable]],
-    source: int,
-) -> set[int]:
-    """All ``s_j`` reachable from ``source`` along some matching view word."""
-    targets: set[int] = set()
-    if frozenset(view_nfa.initials) & view_nfa.finals:
-        targets.add(source)  # empty word in the view language
-    seen: set[tuple[int, int]] = {(source, q) for q in view_nfa.initials}
-    queue: deque[tuple[int, int]] = deque(seen)
-    while queue:
-        d_state, v_state = queue.popleft()
-        for symbol, v_dsts in view_nfa.transitions_from(v_state).items():
-            for constant in satisfying.get(symbol, ()):
-                d_next = ad.successor(d_state, constant)
-                if d_next is None:
-                    continue
-                for v_next in v_dsts:
-                    pair = (d_next, v_next)
-                    if pair in seen:
-                        continue
-                    seen.add(pair)
-                    if v_next in view_nfa.finals:
-                        targets.add(d_next)
-                    queue.append(pair)
-    return targets

@@ -100,7 +100,7 @@ def _sweep_window(
             f"injected fault: worker died sweeping sources [{lo}, {hi})"
         )
     if backend == "numpy":
-        from . import kernel as _kernel
+        from ..sweep import kernel as _kernel
 
         return _kernel.matrix_to_masks(
             _kernel.sweep_window(snapshot, compiled, lo, hi)
@@ -136,7 +136,7 @@ def _pool_sweep(
     """The pool task: :func:`_sweep_window` over the snapshot at ``path``."""
     global _WORKER_SNAPSHOT
     if _WORKER_SNAPSHOT[0] != path:
-        from .csr import CSRSnapshot
+        from ..sweep.csr import CSRSnapshot
 
         _WORKER_SNAPSHOT = (path, CSRSnapshot.load(path, mmap=True))
     return _sweep_window(_WORKER_SNAPSHOT[1], compiled, lo, hi, backend, fail)

@@ -3,8 +3,8 @@
 Computing the Sigma_Q-maximal rewriting of an RPQ (Theorem 4.2) is the
 expensive, data-independent half of view-based answering: grounding,
 determinization into ``Ad``, the ``A'`` construction, complementation and
-minimization.  The result — the rewriting DFA together with ``Ad``,
-``A'``, and the grounding alphabet — depends only on the (query,
+minimization.  The result — the rewriting DFA together with ``Ad``, the
+bit rows of ``A'``, and the grounding alphabet — depends only on the (query,
 view-set, theory, options) tuple, never on the view data, so a serving
 process should compute it at most once *ever*.
 
@@ -51,7 +51,10 @@ from ..rpq.views import RPQViews
 
 __all__ = ["RewritePlanCache", "plan_key", "plan_to_dict", "plan_from_dict"]
 
-_FORMAT = 1
+# Payload format 2: ``a_prime`` is the A' bit rows (per view, one hex mask
+# per ``Ad`` state), not a serialized NFA.  The key scheme is unchanged, so
+# an older file is found, counted under ``load_errors`` and overwritten.
+_FORMAT = 2
 
 _logger = logging.getLogger(__name__)
 
@@ -99,7 +102,7 @@ def plan_key(
     """
     rpq = query if isinstance(query, RPQ) else RPQ(query)
     payload = {
-        "format": _FORMAT,
+        "format": 1,  # of this key scheme, not the payload's _FORMAT
         "query": automaton_fingerprint(rpq.nfa()),
         "views": sorted(
             (repr(symbol), automaton_fingerprint(views.rpq(symbol).nfa()))
@@ -138,7 +141,10 @@ def plan_to_dict(result: RPQRewritingResult, query_text: str | None = None) -> d
         "query": query_text,
         "automaton": dfa_to_dict(result.automaton),
         "ad": dfa_to_dict(result.ad),
-        "a_prime": nfa_to_dict(result.a_prime),
+        "a_prime": {
+            symbol: [format(mask, "x") for mask in rows]
+            for symbol, rows in zip(result.views.symbols, result.a_prime_rows)
+        },
         "alphabet_used": sorted(result.alphabet_used),
         "views": views_payload,
         "view_order": [str(s) for s in result.views.symbols],
@@ -171,12 +177,19 @@ def plan_from_dict(data: Mapping[str, Any]) -> RPQRewritingResult:
         domain=data["theory"]["domain"],
         predicates=data["theory"]["predicates"],
     )
+    ad = dfa_from_dict(data["ad"])
+    a_prime_rows = [
+        tuple(int(mask, 16) for mask in data["a_prime"][symbol])
+        for symbol in data["view_order"]
+    ]
+    if any(len(rows) != ad.num_states for rows in a_prime_rows):
+        raise ValueError("A' rows do not match the states of Ad")
     return RPQRewritingResult(
         automaton=dfa_from_dict(data["automaton"]),
         views=views,
         theory=theory,
-        ad=dfa_from_dict(data["ad"]),
-        a_prime=nfa_from_dict(data["a_prime"]),
+        ad=ad,
+        a_prime_rows=a_prime_rows,
         alphabet_used=frozenset(data["alphabet_used"]),
         stats=dict(data.get("stats", {})),
     )

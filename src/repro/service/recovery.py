@@ -41,7 +41,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable
 
-from ..rpq.csr import CSRSnapshot
+from ..sweep.csr import CSRSnapshot
 from .store import MaterializedViewStore
 from .wal import WriteAheadLog, decode_record, WalError
 

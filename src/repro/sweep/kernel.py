@@ -1,0 +1,366 @@
+"""Vectorized all-pairs product sweep over uint64 block bitmatrices.
+
+This is the numpy twin of the big-int sweep in :mod:`repro.sweep.bigint`.
+Both compute the same semi-naive fixpoint — per automaton state, the set
+of *source* nodes known to reach each (state, node) product point — but
+where the engine packs a node's source set into one Python integer, this
+kernel keeps the whole per-state relation in a ``(num_nodes, ceil(W /
+64))`` uint64 block matrix (``W`` = the width of the source window: the
+full graph, or one shard's node range).  A round takes one of two forms,
+so that it costs what its frontier costs:
+
+* **Pair-list round** (sparse frontier).  A state's delta is one sorted
+  int64 array of *bit keys* ``node * 64B + window column`` — ``key >> 6``
+  is the flat word index into a block matrix, ``key & 63`` the bit.  The
+  round expands the delta through the label's forward CSR
+  (``indptr[nodes]``, ``repeat``, one gather), dedups the products with
+  one sort, drops keys whose bit is already set in the state's settled
+  matrix, and folds the fresh bits per word with one
+  ``reduceat`` (:func:`repro.sweep.csr.pack_keys`).  No ``(n, B)`` buffer
+  is read or written beyond the touched words.
+* **Block round** (dense frontier).  Deltas are ``(num_nodes + 1, B)``
+  matrices; per label the round *gathers* the delta rows of every
+  target's in-neighbours through the padded reverse-CSR schedule
+  (:class:`repro.sweep.csr._GatherPlan`; short rows padded with a pinned
+  all-zero sentinel row), *reduces* the ``(m, w, B)`` cube with one
+  regular ``bitwise_or.reduce``, and *accumulates* into the successor
+  states, turning the accumulation into the next delta with two in-place
+  ops (``new = acc & ~reached``; ``reached |= new``).  That is
+  ``O(states * n * B)`` per round whatever the frontier, with every
+  large buffer allocated once and reused — on the target hardware a cold
+  allocation runs an order of magnitude slower than a warm in-place OR.
+
+**Hand-over rule.**  The number of pairs a round will produce is the sum
+of out-degrees over its deltas, known *before* expanding.  While that is
+at most ``n * B`` — the words one pass over one block matrix touches —
+the round runs as pair lists (:func:`_pair_round_pays`); the first round
+that exceeds it scatters the pair deltas into delta matrices and the
+block loop finishes the sweep.  The switch is one-way: a saturating
+frontier stays dense until its last round or two, and re-deriving pair
+lists from matrices costs the ``n * B`` scan the pair form exists to
+avoid.  Delta matrices, gather plans and adjacency bitmaps are only
+built at the hand-over, so a sweep that stays sparse never pays for
+them.
+
+Exactness contract: for every graph and compiled automaton,
+:func:`all_pairs_ids` returns exactly the id pairs of
+``engine._all_pairs_ids`` (the differential harness in
+``tests/rpq/test_kernel_differential.py`` asserts list equality after
+sorting, and bit equality of the matrices across both round forms),
+including the epsilon diagonal over *all* interned nodes — drained nodes
+included — and with the padding bits of the last block provably never
+set (seeds and expansions only ever touch valid columns).
+"""
+
+from __future__ import annotations
+
+from typing import TYPE_CHECKING
+
+import numpy as np
+
+from .csr import CSRSnapshot, blocks_for, pack_keys
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .table import CompiledAutomaton
+
+__all__ = [
+    "all_pairs_ids",
+    "sweep_window",
+    "decode_matrix",
+    "matrix_to_masks",
+]
+
+# Cap on the number of uint64 words gathered per chunk (~4 MiB): keeps
+# the gather cube and its reduction inside the cache tier where this
+# machine's fancy-indexing throughput is ~8x its streaming-DRAM rate.
+_CHUNK_WORDS = 1 << 19
+
+
+def _pair_round_pays(expansion_pairs: int, matrix_words: int) -> bool:
+    """The round-form decision, taken before the round's work is done.
+
+    ``expansion_pairs`` is the sum of out-degrees over the round's pair
+    deltas; ``matrix_words`` is ``n * B``, what one pass over one block
+    matrix touches (a block round makes several per state).
+    """
+    return expansion_pairs <= matrix_words
+
+
+def _zero_matrices(states, rows: int, num_blocks: int) -> dict[int, np.ndarray]:
+    """One zeroed ``(rows, num_blocks)`` matrix per state, cut from a
+    single allocation: numpy asks for huge pages from 4 MiB up, and first
+    touches of one huge-page block measured ~10x cheaper here than of as
+    many separate 2-3 MiB arrays."""
+    block = np.zeros((len(states), rows, num_blocks), dtype=np.uint64)
+    return dict(zip(states, block))
+
+
+def _sorted_unique(values: np.ndarray) -> np.ndarray:
+    """``np.unique`` by sort and neighbour mask (numpy >= 2.3 hashes
+    first, measured 10x slower on these 5k-300k key arrays)."""
+    if values.size == 0:
+        return values
+    values = np.sort(values)
+    keep = np.empty(values.size, dtype=bool)
+    keep[0] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
+
+
+def _or_keys(matrix: np.ndarray, keys: np.ndarray) -> None:
+    """Set the bits named by ascending, non-empty bit ``keys``."""
+    words, values = pack_keys(keys)
+    matrix.reshape(-1)[words] |= values
+
+
+def _unpack_keys(matrix: np.ndarray) -> np.ndarray:
+    """The ascending bit keys of ``matrix``'s set bits; only its
+    non-zero words are unpacked."""
+    flat = matrix.reshape(-1)
+    words = np.flatnonzero(flat)
+    bits = np.unpackbits(
+        flat[words].view(np.uint8).reshape(-1, 8), axis=1, bitorder="little"
+    )
+    hit, bit = np.nonzero(bits)
+    return (words[hit] << 6) + bit
+
+
+def sweep_window(
+    snapshot: CSRSnapshot,
+    compiled: "CompiledAutomaton",
+    lo: int = 0,
+    hi: int | None = None,
+    *,
+    reached_out: dict | None = None,
+) -> np.ndarray:
+    """Sweep sources in ``[lo, hi)``; return the answer block matrix.
+
+    Row ``t`` of the result holds one bit per window source: bit ``j``
+    set means ``(lo + j, t)`` is an answer pair.  ``lo``/``hi`` default
+    to the whole graph; :class:`repro.rpq.sharded.ParallelEvaluator`
+    passes one shard's range per task, which keeps each task's matrices
+    a factor ``k`` narrower (the same mask-width saving the big-int
+    sweep gets from ``engine._seed_all_pairs(lo, hi)``).
+
+    With ``reached_out`` (a dict), the settled per-state ``(num_nodes,
+    B)`` matrices are handed back to the caller after the fixpoint —
+    :class:`repro.rpq.incremental.NumpyDeltaSweepState` keeps them alive
+    to resume the sweep from edge deltas.  On degenerate inputs (empty
+    graph, no initial states) the dict is left empty; delta application
+    allocates state rows lazily, like the big-int engine.
+    """
+    num_nodes = snapshot.num_nodes
+    if hi is None:
+        hi = num_nodes
+    width = hi - lo
+    num_blocks = blocks_for(width)
+    stride = num_blocks << 6  # bit key = node * stride + window column
+    answers = np.zeros((num_nodes, num_blocks), dtype=np.uint64)
+    if compiled.accepts_epsilon and width > 0:
+        window = np.arange(lo, hi, dtype=np.int64)
+        _or_keys(answers, window * stride + (window - lo))
+    if num_nodes == 0 or width <= 0 or not compiled.initials:
+        return answers
+
+    table = compiled.table
+    states = set(table)
+    for row in table.values():
+        for next_states in row.values():
+            states |= next_states
+    reached = _zero_matrices(states, num_nodes, num_blocks)
+
+    # Seed each initial state with the window sources that have an
+    # out-edge matching its row (any other source contributes nothing
+    # beyond the epsilon answer): the diagonal ``(v, v - lo)``.
+    pairs: dict[int, np.ndarray] = {}
+    for state in compiled.initials:
+        seeds = [
+            np.flatnonzero(np.diff(label_csr.out_indptr[lo : hi + 1]))
+            for label in table.get(state, ())
+            if (label_csr := snapshot.label_csr(label)) is not None
+        ]
+        if not seeds:
+            continue
+        columns = _sorted_unique(np.concatenate(seeds))
+        if columns.size:
+            pairs[state] = (columns + lo) * stride + columns
+            _or_keys(reached[state], pairs[state])
+
+    seeded = True  # the deltas are still exactly the seed diagonals
+    while pairs:
+        expansions = []
+        expansion_pairs = 0
+        for state, keys in pairs.items():
+            nodes, columns = np.divmod(keys, stride)
+            for label, next_states in table.get(state, {}).items():
+                label_csr = snapshot.label_csr(label)
+                if label_csr is None:
+                    continue
+                starts = label_csr.out_indptr[nodes]
+                counts = label_csr.out_indptr[nodes + 1] - starts
+                if counts.any():
+                    expansion_pairs += int(counts.sum())
+                    expansions.append(
+                        (label_csr.out_indices, starts, counts, columns, next_states)
+                    )
+        if not _pair_round_pays(expansion_pairs, num_nodes * num_blocks):
+            _block_rounds(
+                snapshot, compiled, lo, hi, reached, answers, pairs, seeded
+            )
+            break
+        pairs = _pair_round(expansions, stride, reached, answers, compiled.finals)
+        seeded = False
+    if reached_out is not None:
+        reached_out.update(reached)
+    return answers
+
+
+def _pair_round(expansions, stride, reached, answers, finals) -> dict[int, np.ndarray]:
+    """One pair-list round: expand, dedup, keep the fresh bits, record
+    them in ``reached``/``answers``; returns the next pair deltas."""
+    produced: dict[int, list[np.ndarray]] = {}
+    for out_indices, starts, counts, columns, next_states in expansions:
+        ends = np.cumsum(counts)
+        # Edge slot of every product: each node's CSR run, laid end to end.
+        edges = np.repeat(starts - (ends - counts), counts) + np.arange(ends[-1])
+        keys = out_indices[edges] * stride + np.repeat(columns, counts)
+        for next_state in next_states:
+            produced.setdefault(next_state, []).append(keys)
+    pairs: dict[int, np.ndarray] = {}
+    for state, parts in produced.items():
+        keys = _sorted_unique(np.concatenate(parts))
+        settled = reached[state].reshape(-1)
+        bits = np.uint64(1) << (keys & 63).astype(np.uint64)
+        keys = keys[(settled[keys >> 6] & bits) == 0]
+        if keys.size:
+            words, values = pack_keys(keys)
+            settled[words] |= values
+            if state in finals:
+                answers.reshape(-1)[words] |= values
+            pairs[state] = keys
+    return pairs
+
+
+def _block_rounds(
+    snapshot, compiled, lo, hi, reached, answers, pairs, seeded
+) -> None:
+    """Finish the sweep with block rounds from the pair deltas ``pairs``."""
+    num_nodes, num_blocks = answers.shape
+    table = compiled.table
+    finals = compiled.finals
+    # Per state: the current delta (one sentinel row pinned to zero for
+    # padded gathers) and the accumulator that becomes the next delta.
+    # Allocated once at the hand-over, reused every round.
+    delta = _zero_matrices(reached, num_nodes + 1, num_blocks)
+    acc = _zero_matrices(reached, num_nodes + 1, num_blocks)
+    scratch = np.empty((num_nodes, num_blocks), dtype=np.uint64)
+    for state, keys in pairs.items():
+        _or_keys(delta[state], keys)
+    active = {s: s in pairs for s in reached}
+    # A freshly seeded initial state's delta is exactly the seed
+    # diagonal, and every in-neighbour of a label is one of that label's
+    # seeds — so the state's first-round contribution per label is the
+    # label's precomputed adjacency bitmap, no gather needed.  The flag
+    # drops as soon as the diagonal delta has been consumed.
+    diagonal = {s: seeded and s in pairs for s in reached}
+
+    while any(active.values()):
+        for state_acc in acc.values():
+            state_acc.fill(0)
+        touched: set[int] = set()
+        for state, row in table.items():
+            if not active[state]:
+                continue
+            if diagonal[state]:
+                for label, next_states in row.items():
+                    bitmap = snapshot.adjacency_bitmap(label, lo, hi)
+                    if bitmap is None:
+                        continue
+                    for next_state in next_states:
+                        acc[next_state][:num_nodes] |= bitmap
+                        touched.add(next_state)
+                continue
+            state_delta = delta[state]
+            for label, next_states in row.items():
+                plan = snapshot.gather_plan(label)
+                if plan is None:
+                    continue
+                if plan.function is not None:
+                    pushed = np.take(state_delta, plan.function, axis=0, out=scratch)
+                    for next_state in next_states:
+                        acc[next_state][:num_nodes] |= pushed
+                        touched.add(next_state)
+                    continue
+                for dsts, idx in plan.spans:
+                    rows_total, bucket_width = idx.shape
+                    rows_per_chunk = max(
+                        1, _CHUNK_WORDS // (bucket_width * num_blocks)
+                    )
+                    for start in range(0, rows_total, rows_per_chunk):
+                        stop = min(start + rows_per_chunk, rows_total)
+                        gathered = state_delta[idx[start:stop]]
+                        reduced = np.bitwise_or.reduce(gathered, axis=1)
+                        chunk_dsts = dsts[start:stop]
+                        for next_state in next_states:
+                            acc[next_state][chunk_dsts] |= reduced
+                            touched.add(next_state)
+        for state in reached:
+            active[state] = False
+            diagonal[state] = False
+        for state in touched:
+            new = acc[state][:num_nodes]
+            np.invert(reached[state], out=scratch)
+            np.bitwise_and(new, scratch, out=new)
+            if not new.any():
+                continue
+            np.bitwise_or(reached[state], new, out=reached[state])
+            if state in finals:
+                np.bitwise_or(answers, new, out=answers)
+            # The accumulator (now holding exactly the new bits) becomes
+            # the next round's delta; the old delta becomes the next
+            # accumulator.  Sentinel rows stay zero on both.
+            delta[state], acc[state] = acc[state], delta[state]
+            active[state] = True
+
+
+def decode_matrix(
+    answers: np.ndarray, width: int, lo: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Unpack an answer matrix into sorted ``(sources, targets)`` arrays.
+
+    Sorted by ``(source_id, target_id)`` — the engine's documented
+    deterministic order, which callers rely on without re-sorting.
+    ``width`` is the number of valid source columns (bits beyond it are
+    discarded); ``lo`` re-bases window columns to absolute ids.  Reads
+    only the non-zero words, so the cost follows the answer, not ``n²``.
+    """
+    targets, columns = np.divmod(_unpack_keys(answers), answers.shape[1] << 6)
+    valid = columns < width
+    sources = columns[valid] + lo
+    # Keys ascend by (target, column): a stable sort on the source alone
+    # yields (source, target) order.
+    order = np.argsort(sources, kind="stable")
+    return sources[order], targets[valid][order]
+
+
+def matrix_to_masks(answers: np.ndarray) -> dict[int, int]:
+    """Collapse an answer matrix to ``{target_id: int mask}`` (nonzero
+    rows only) — the result shape of the windowed big-int sweep, so the
+    sharded merge path is backend-agnostic."""
+    masks: dict[int, int] = {}
+    for target in np.flatnonzero(answers.any(axis=1)):
+        masks[int(target)] = int.from_bytes(
+            answers[target].tobytes(), "little"
+        )
+    return masks
+
+
+def all_pairs_ids(
+    snapshot: CSRSnapshot, compiled: "CompiledAutomaton"
+) -> list[tuple[int, int]]:
+    """The full all-pairs sweep, decoded to sorted dense-id pairs."""
+    if snapshot.num_nodes == 0 or not compiled.initials:
+        return []
+    answers = sweep_window(snapshot, compiled)
+    sources, targets = decode_matrix(answers, snapshot.num_nodes)
+    return list(zip(sources.tolist(), targets.tolist()))

@@ -160,3 +160,43 @@ class TestResultObject:
         result = rewrite_rpq("a", RPQViews({"q1": "b"}), trivial_theory)
         assert result.is_empty()
         assert result.shortest_word() is None
+
+    def test_a_prime_is_built_from_the_rows_on_first_access(self, trivial_theory):
+        views = RPQViews({"q1": "a", "q2": "b.c*"})
+        result = rewrite_rpq("a.(b+c)*", views, trivial_theory)
+        assert result._a_prime is None  # the construction ran on the rows
+        a_prime = result.a_prime
+        assert a_prime is result.a_prime
+        assert a_prime.states == result.ad.states
+        assert a_prime.finals == result.ad.states - result.ad.finals
+        assert a_prime.num_transitions == result.stats["a_prime_transitions"]
+
+
+class TestRelationMemo:
+    """The ``A'``-relation memo is keyed on what is stable across calls:
+    ``Ad``'s fingerprint, the view automaton, the theory."""
+
+    @pytest.mark.parametrize("strategy", ["ground", "product"])
+    def test_second_rewriting_of_the_same_query_and_views_hits(self, strategy):
+        from repro.automata.compiled import relation_cache_clear, relation_cache_info
+
+        theory = Theory(
+            domain={"a1", "a2", "b1"},
+            predicates={"A": {"a1", "a2"}, "B": {"a1", "a2", "b1"}},
+        )
+        views = RPQViews(
+            {
+                "qA": RPQ(sym(Pred("A"))),
+                "q1": "a1",
+                "qAB": RPQ(concat(sym(Pred("A")), sym(Pred("B")))),
+            }
+        )
+        relation_cache_clear()
+        first = rewrite_rpq(star(sym(Pred("B"))), views, theory, strategy=strategy)
+        cold = relation_cache_info()
+        assert (cold["hits"], cold["misses"], cold["size"]) == (0, 3, 3)
+        again = rewrite_rpq(star(sym(Pred("B"))), views, theory, strategy=strategy)
+        warm = relation_cache_info()
+        # One relation per view, each found again: nothing new is pinned.
+        assert (warm["hits"], warm["misses"], warm["size"]) == (3, 3, 3)
+        assert again.a_prime_rows == first.a_prime_rows

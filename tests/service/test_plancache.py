@@ -122,6 +122,39 @@ class TestCache:
             after.get_or_build("a.b", views, theory)
             assert after.stats["loaded"] == 1
 
+    def test_old_format_plan_file_is_a_counted_miss_and_is_overwritten(
+        self, tmp_path, theory, views
+    ):
+        """Format 1 stored ``A'`` as a serialized NFA; format 2 stores its
+        bit rows.  The key scheme is unchanged, so the old file is found,
+        refused, rebuilt and replaced."""
+        from repro.automata.serialization import nfa_to_dict
+
+        plan_dir = tmp_path / "plans"
+        cache = RewritePlanCache(plan_dir)
+        plan = cache.get_or_build("a.b", views, theory)
+        (plan_file,) = plan_dir.glob("*.json")
+        old = json.loads(plan_file.read_text())
+        assert old["format"] == 2
+        assert old["a_prime"] == {
+            symbol: [format(mask, "x") for mask in rows]
+            for symbol, rows in zip(views.symbols, plan.a_prime_rows)
+        }
+        old.update(format=1, a_prime=nfa_to_dict(plan.a_prime))
+        plan_file.write_text(json.dumps(old))
+
+        fresh = RewritePlanCache(plan_dir)
+        rebuilt = fresh.get_or_build("a.b", views, theory)
+        assert (fresh.stats["load_errors"], fresh.stats["built"]) == (1, 1)
+        assert fresh.stats["saved"] == 1
+        assert json.loads(plan_file.read_text())["format"] == 2
+        after = RewritePlanCache(plan_dir)
+        loaded = after.get_or_build("a.b", views, theory)
+        assert (after.stats["loaded"], after.stats["load_errors"]) == (1, 0)
+        assert [tuple(rows) for rows in loaded.a_prime_rows] == [
+            tuple(rows) for rows in rebuilt.a_prime_rows
+        ]
+
     def test_corrupt_entry_skips_with_a_warning(
         self, tmp_path, theory, views, caplog
     ):
