@@ -42,9 +42,8 @@ from typing import Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from ..sweep.bigint import _seed_all_pairs, _sweep_to_fixpoint
+from ..sweep import window_masks
 from ..sweep.csr import CSRSnapshot, _LabelCSR
-from ..sweep.kernel import matrix_to_masks, sweep_window
 from ..sweep.table import compile_automaton
 from .dfa import DFA
 from .nfa import NFA
@@ -512,15 +511,8 @@ def view_transition_masks(ad: DenseDFA, view: NFA, theory=None) -> tuple[int, ..
     rows = [0] * n
     for lo in range(0, n, width):
         hi = min(lo + width, n)
-        if blocks:
-            masks = matrix_to_masks(sweep_window(index, compiled, lo, hi)).items()
-        else:
-            reached, frontier, answers = _seed_all_pairs(index, compiled, lo, hi)
-            _sweep_to_fixpoint(index, compiled, reached, frontier, answers)
-            masks = enumerate(answers)
-        for state, mask in masks:
-            if mask:
-                rows[state] |= mask << lo
+        for state, mask in window_masks(index, compiled, lo, hi, blocks).items():
+            rows[state] |= mask << lo
     return tuple(rows)
 
 

@@ -44,6 +44,7 @@ import weakref
 from bisect import bisect_right
 from typing import Hashable, Iterable
 
+from ..sweep import window_masks
 from . import engine as _engine
 from .engine import CompiledAutomaton
 from .graphdb import GraphDB
@@ -84,13 +85,9 @@ def _sweep_window(
     backend: str,
     fail: bool = False,
 ) -> dict[int, int]:
-    """All-pairs product sweep for the sources in ``[lo, hi)``.
-
-    Returns ``{target_id: mask}`` (nonzero masks only) where bit ``j`` of
-    ``mask`` set means ``(node lo + j, target)`` is an answer — masks are
-    re-based to the window, which is where the factor-``k`` saving over
-    the monolithic sweep comes from, and both backends return the same
-    shape so the merge upstream is backend-agnostic.
+    """:func:`repro.sweep.window_masks` for the sources in ``[lo, hi)`` on
+    ``backend``'s rows: ``{target_id: mask}`` re-based to the window, which
+    is where the factor-``k`` saving over the monolithic sweep comes from.
 
     ``fail`` is fault injection for the crash-recovery tests: the sweep
     raises before touching any state, as a crashing worker would.
@@ -99,19 +96,7 @@ def _sweep_window(
         raise RuntimeError(
             f"injected fault: worker died sweeping sources [{lo}, {hi})"
         )
-    if backend == "numpy":
-        from ..sweep import kernel as _kernel
-
-        return _kernel.matrix_to_masks(
-            _kernel.sweep_window(snapshot, compiled, lo, hi)
-        )
-    reached, frontier, answer_masks = _engine._seed_all_pairs(
-        snapshot, compiled, lo, hi
-    )
-    _engine._sweep_to_fixpoint(snapshot, compiled, reached, frontier, answer_masks)
-    return {
-        target_id: mask for target_id, mask in enumerate(answer_masks) if mask
-    }
+    return window_masks(snapshot, compiled, lo, hi, backend == "numpy")
 
 
 # The snapshot a worker process last mapped, as ``(path, snapshot)``.

@@ -51,7 +51,7 @@ from typing import Hashable, Iterable, Mapping
 from ..automata.nfa import NFA
 from ..rpq import engine as _engine
 from ..rpq.evaluation import sort_pairs
-from ..rpq.incremental import DeltaSweepState, NumpyDeltaSweepState, make_delta_state
+from ..rpq.incremental import DeltaSweepState, make_delta_state
 from ..rpq.query import QuerySpec
 from ..rpq.rewriting import RPQRewritingResult
 from ..rpq.sharded import ParallelEvaluator, ShardedEvaluationError
@@ -164,11 +164,9 @@ class QuerySession:
         # plan key -> (retained sweep state, store version it reflects);
         # unlike the answer memo this survives version bumps — that is
         # the whole point: a pure-insert delta advances the state to the
-        # new version instead of recomputing it.  The state is a
-        # DeltaSweepState or NumpyDeltaSweepState per the session backend.
-        self._delta_states: dict[
-            str, tuple[DeltaSweepState | NumpyDeltaSweepState, int]
-        ] = {}
+        # new version instead of recomputing it.  The state's storage
+        # layout (int rows or block matrices) follows the session backend.
+        self._delta_states: dict[str, tuple[DeltaSweepState, int]] = {}
         self.stats = {
             "requests": 0,
             "answer_memo_hits": 0,
@@ -361,7 +359,7 @@ class QuerySession:
 
     def _sequential_all_pairs(
         self, key: str, compiled: _engine.CompiledAutomaton
-    ) -> DeltaSweepState | NumpyDeltaSweepState:
+    ) -> DeltaSweepState:
         """The delta-maintained sweep state for ``key``, advanced to the
         store's current version.
 

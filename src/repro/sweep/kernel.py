@@ -143,11 +143,11 @@ def sweep_window(
     sweep gets from ``engine._seed_all_pairs(lo, hi)``).
 
     With ``reached_out`` (a dict), the settled per-state ``(num_nodes,
-    B)`` matrices are handed back to the caller after the fixpoint —
-    :class:`repro.rpq.incremental.NumpyDeltaSweepState` keeps them alive
-    to resume the sweep from edge deltas.  On degenerate inputs (empty
-    graph, no initial states) the dict is left empty; delta application
-    allocates state rows lazily, like the big-int engine.
+    B)`` matrices, one per automaton state, are handed back after the
+    fixpoint — :class:`repro.rpq.incremental.NumpyDeltaSweepState`
+    retains them as its storage.  On degenerate inputs (empty graph, no
+    initial states) the dict is left empty and the caller allocates the
+    zero matrices itself.
     """
     num_nodes = snapshot.num_nodes
     if hi is None:

@@ -8,14 +8,23 @@ this pins that over-deletion is fully undone and true deletions are
 fully applied).  Equal masks imply equal answers for *every future delta
 too*, which is why the unit layer pins masks and leaves answer-level
 comparison to the differential harness.
+
+Every test class runs twice: as written on ``DeltaSweepState`` (Python-int
+rows), and through its ``...BlockRows`` subclass on
+``NumpyDeltaSweepState`` (the same algorithm over uint64 block matrices).
+Rows are compared as ints — ``list(rows)`` reads either layout that way —
+and always against a fresh *big-int* build, so the block layout is held to
+the big-int sweep's bits, not to its own.
 """
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.rpq import RPQ, DeltaSweepState, GraphDB
 from repro.rpq import engine as engine_mod
+from repro.rpq.incremental import NumpyDeltaSweepState
 
 LABELS = ("a", "b", "c")
 
@@ -28,10 +37,10 @@ def compiled_for(query, labels=LABELS):
 
 def assert_bit_identical(state, db, compiled):
     fresh = DeltaSweepState(db, compiled)
-    assert state.answer_masks == fresh.answer_masks
+    assert list(state.answer_masks) == fresh.answer_masks
     for automaton_state, row in fresh.reached.items():
         mine = state.reached.get(automaton_state, [0] * state.num_nodes)
-        assert mine == row, f"reached[{automaton_state}] diverged"
+        assert list(mine) == row, f"reached[{automaton_state}] diverged"
     for automaton_state, row in state.reached.items():
         if automaton_state not in fresh.reached:
             # Rows a fresh sweep never materializes may linger in a
@@ -42,10 +51,12 @@ def assert_bit_identical(state, db, compiled):
 
 
 class TestSingleInsertions:
+    state_class = DeltaSweepState
+
     def test_edge_extending_a_path(self):
         db = GraphDB([("x", "a", "y")])
         compiled = compiled_for("a.b")
-        state = DeltaSweepState(db, compiled)
+        state = self.state_class(db, compiled)
         assert state.answers() == frozenset()
         db.add_edge("y", "b", "z")
         state.apply_insertions([("y", "b", "z")])
@@ -57,7 +68,7 @@ class TestSingleInsertions:
         seed that node, not just push existing sources."""
         db = GraphDB(nodes=["x", "y"])
         compiled = compiled_for("a")
-        state = DeltaSweepState(db, compiled)
+        state = self.state_class(db, compiled)
         db.add_edge("x", "a", "y")
         state.apply_insertions([("x", "a", "y")])
         assert state.answers() == frozenset({("x", "y")})
@@ -66,7 +77,7 @@ class TestSingleInsertions:
     def test_insert_closing_a_cycle_under_a_star(self):
         db = GraphDB([("x", "a", "y"), ("y", "a", "z")])
         compiled = compiled_for("a*")
-        state = DeltaSweepState(db, compiled)
+        state = self.state_class(db, compiled)
         db.add_edge("z", "a", "x")
         state.apply_insertions([("z", "a", "x")])
         nodes = {"x", "y", "z"}
@@ -78,17 +89,17 @@ class TestSingleInsertions:
     def test_unmatched_label_is_a_cheap_noop(self):
         db = GraphDB([("x", "a", "y")])
         compiled = compiled_for("a")
-        state = DeltaSweepState(db, compiled)
+        state = self.state_class(db, compiled)
         before = list(state.answer_masks)
         db.add_edge("x", "c", "y")
         state.apply_insertions([("x", "c", "y")])
-        assert state.answer_masks == before
+        assert list(state.answer_masks) == before
         assert_bit_identical(state, db, compiled)
 
     def test_reapplying_an_absorbed_edge_is_idempotent(self):
         db = GraphDB([("x", "a", "y")])
         compiled = compiled_for("a.b")
-        state = DeltaSweepState(db, compiled)
+        state = self.state_class(db, compiled)
         db.add_edge("y", "b", "z")
         state.apply_insertions([("y", "b", "z")])
         state.apply_insertions([("y", "b", "z")])
@@ -98,10 +109,12 @@ class TestSingleInsertions:
 
 
 class TestNodeGrowth:
+    state_class = DeltaSweepState
+
     def test_insert_interning_new_nodes(self):
         db = GraphDB([("x", "a", "y")])
         compiled = compiled_for("a.b")
-        state = DeltaSweepState(db, compiled)
+        state = self.state_class(db, compiled)
         db.add_edge("y", "b", "brand_new")
         state.apply_insertions([("y", "b", "brand_new")])
         assert state.num_nodes == db.num_nodes == 3
@@ -111,7 +124,7 @@ class TestNodeGrowth:
     def test_new_nodes_get_their_epsilon_diagonal(self):
         db = GraphDB([("x", "a", "y")])
         compiled = compiled_for("a*")
-        state = DeltaSweepState(db, compiled)
+        state = self.state_class(db, compiled)
         db.add_edge("p", "b", "q")  # label outside the query: answers are
         state.apply_insertions([("p", "b", "q")])  # the diagonal only
         assert ("p", "p") in state.answers() and ("q", "q") in state.answers()
@@ -120,7 +133,7 @@ class TestNodeGrowth:
     def test_state_built_on_empty_graph_grows(self):
         db = GraphDB()
         compiled = compiled_for("a")
-        state = DeltaSweepState(db, compiled)
+        state = self.state_class(db, compiled)
         assert state.answers() == frozenset()
         db.add_edge("x", "a", "y")
         state.apply_insertions([("x", "a", "y")])
@@ -129,30 +142,32 @@ class TestNodeGrowth:
 
 
 class TestBatches:
+    state_class = DeltaSweepState
+
     def test_batch_matches_one_at_a_time(self):
         base = [("x", "a", "y"), ("y", "b", "z")]
         batch = [("z", "a", "x"), ("y", "a", "w"), ("w", "b", "x")]
         compiled = compiled_for("(a+b)*")
 
         db_batch = GraphDB(base)
-        state_batch = DeltaSweepState(db_batch, compiled)
+        state_batch = self.state_class(db_batch, compiled)
         for edge in batch:
             db_batch.add_edge(*edge)
         state_batch.apply_insertions(batch)
 
         db_single = GraphDB(base)
-        state_single = DeltaSweepState(db_single, compiled)
+        state_single = self.state_class(db_single, compiled)
         for edge in batch:
             db_single.add_edge(*edge)
             state_single.apply_insertions([edge])
 
-        assert state_batch.answer_masks == state_single.answer_masks
+        assert list(state_batch.answer_masks) == list(state_single.answer_masks)
         assert_bit_identical(state_batch, db_batch, compiled)
 
     def test_one_shot_generator_input(self):
         db = GraphDB([("x", "a", "y")])
         compiled = compiled_for("a.b")
-        state = DeltaSweepState(db, compiled)
+        state = self.state_class(db, compiled)
         edges = [("y", "b", "z"), ("y", "b", "w")]
         for edge in edges:
             db.add_edge(*edge)
@@ -163,6 +178,8 @@ class TestBatches:
 
 
 class TestRandomized:
+    state_class = DeltaSweepState
+
     @pytest.mark.parametrize("query", ["a", "a.b", "(a+b)*", "a.(b+c)*", "b*.c"])
     def test_random_insertion_sequences_stay_bit_identical(self, query):
         rng = random.Random(f"incremental-{query}")
@@ -175,7 +192,7 @@ class TestRandomized:
                 db.add_edge(
                     rng.choice(nodes), rng.choice(LABELS), rng.choice(nodes)
                 )
-            state = DeltaSweepState(db, compiled)
+            state = self.state_class(db, compiled)
             for step in range(rng.randrange(1, 10)):
                 if rng.random() < 0.2:
                     nodes.append(f"fresh{step}")
@@ -190,10 +207,12 @@ class TestRandomized:
 
 
 class TestDeletions:
+    state_class = DeltaSweepState
+
     def test_single_delete_breaks_the_only_path(self):
         db = GraphDB([("x", "a", "y"), ("y", "b", "z")])
         compiled = compiled_for("a.b")
-        state = DeltaSweepState(db, compiled)
+        state = self.state_class(db, compiled)
         assert state.answers() == frozenset({("x", "z")})
         db.remove_edge("y", "b", "z")
         removed = state.apply_deletions([("y", "b", "z")])
@@ -209,7 +228,7 @@ class TestDeletions:
             [("x", "a", "y"), ("x", "a", "w"), ("y", "b", "z"), ("w", "b", "z")]
         )
         compiled = compiled_for("a.b")
-        state = DeltaSweepState(db, compiled)
+        state = self.state_class(db, compiled)
         db.remove_edge("y", "b", "z")
         state.apply_deletions([("y", "b", "z")])
         assert state.answers() == frozenset({("x", "z")})
@@ -220,7 +239,7 @@ class TestDeletions:
     def test_delete_inside_a_cycle_under_a_star(self):
         db = GraphDB([("x", "a", "y"), ("y", "a", "z"), ("z", "a", "x")])
         compiled = compiled_for("a*")
-        state = DeltaSweepState(db, compiled)
+        state = self.state_class(db, compiled)
         db.remove_edge("z", "a", "x")
         state.apply_deletions([("z", "a", "x")])
         answers = state.answers()
@@ -231,7 +250,7 @@ class TestDeletions:
     def test_deleting_a_nodes_last_edge_keeps_its_diagonal(self):
         db = GraphDB([("x", "a", "y")])
         compiled = compiled_for("a*")
-        state = DeltaSweepState(db, compiled)
+        state = self.state_class(db, compiled)
         db.remove_edge("x", "a", "y")
         state.apply_deletions([("x", "a", "y")])
         assert state.answers() == frozenset({("x", "x"), ("y", "y")})
@@ -240,11 +259,11 @@ class TestDeletions:
     def test_unmatched_label_is_a_cheap_noop(self):
         db = GraphDB([("x", "a", "y"), ("x", "c", "y")])
         compiled = compiled_for("a")
-        state = DeltaSweepState(db, compiled)
+        state = self.state_class(db, compiled)
         before = list(state.answer_masks)
         db.remove_edge("x", "c", "y")
         state.apply_deletions([("x", "c", "y")])
-        assert state.answer_masks == before
+        assert list(state.answer_masks) == before
         assert state.overdeleted_bits == 0
         assert_bit_identical(state, db, compiled)
 
@@ -255,7 +274,7 @@ class TestDeletions:
             [("x", "a", "y"), ("y", "b", "z"), ("x", "a", "p"), ("p", "b", "q")]
         )
         compiled = compiled_for("a.b")
-        state = DeltaSweepState(db, compiled)
+        state = self.state_class(db, compiled)
         batch = [("x", "a", "y"), ("y", "b", "z")]
         for edge in batch:
             db.remove_edge(*edge)
@@ -267,24 +286,26 @@ class TestDeletions:
     def test_delete_then_reinsert_roundtrips(self):
         db = GraphDB([("x", "a", "y"), ("y", "b", "z")])
         compiled = compiled_for("a.b")
-        state = DeltaSweepState(db, compiled)
+        state = self.state_class(db, compiled)
         before = list(state.answer_masks)
         db.remove_edge("x", "a", "y")
         state.apply_deletions([("x", "a", "y")])
         db.add_edge("x", "a", "y")
         state.apply_insertions([("x", "a", "y")])
-        assert state.answer_masks == before
+        assert list(state.answer_masks) == before
         assert_bit_identical(state, db, compiled)
 
     def test_repr_reports_deletions(self):
         db = GraphDB([("x", "a", "y")])
-        state = DeltaSweepState(db, compiled_for("a"))
+        state = self.state_class(db, compiled_for("a"))
         db.remove_edge("x", "a", "y")
         state.apply_deletions([("x", "a", "y")])
         assert "edges_deleted=1" in repr(state)
 
 
 class TestRandomizedDeletions:
+    state_class = DeltaSweepState
+
     @pytest.mark.parametrize("query", ["a", "a.b", "(a+b)*", "a.(b+c)*", "b*.c"])
     def test_random_mixed_sequences_stay_bit_identical(self, query):
         rng = random.Random(f"incremental-dred-{query}")
@@ -300,7 +321,7 @@ class TestRandomizedDeletions:
                 )
                 db.add_edge(*edge)
                 present.add(edge)
-            state = DeltaSweepState(db, compiled)
+            state = self.state_class(db, compiled)
             for _step in range(rng.randrange(1, 12)):
                 if present and rng.random() < 0.45:
                     edge = rng.choice(sorted(present))
@@ -318,22 +339,88 @@ class TestRandomizedDeletions:
 
 
 class TestErrors:
+    state_class = DeltaSweepState
+
     def test_unknown_node_raises_keyerror(self):
         """Edges must be applied to the graph before being absorbed."""
         db = GraphDB([("x", "a", "y")])
-        state = DeltaSweepState(db, compiled_for("a"))
+        state = self.state_class(db, compiled_for("a"))
         with pytest.raises(KeyError):
             state.apply_insertions([("ghost", "a", "y")])
 
     def test_deleting_an_unknown_node_raises_keyerror(self):
         db = GraphDB([("x", "a", "y")])
-        state = DeltaSweepState(db, compiled_for("a"))
+        state = self.state_class(db, compiled_for("a"))
         with pytest.raises(KeyError):
             state.apply_deletions([("ghost", "a", "y")])
 
     def test_repr_reports_progress(self):
         db = GraphDB([("x", "a", "y")])
-        state = DeltaSweepState(db, compiled_for("a"))
+        state = self.state_class(db, compiled_for("a"))
         db.add_edge("x", "a", "x")
         state.apply_insertions([("x", "a", "x")])
         assert "edges_applied=1" in repr(state)
+
+
+# ----------------------------------------------------------------------
+# The same cases on the block layout
+# ----------------------------------------------------------------------
+class TestSingleInsertionsBlockRows(TestSingleInsertions):
+    state_class = NumpyDeltaSweepState
+
+
+class TestNodeGrowthBlockRows(TestNodeGrowth):
+    state_class = NumpyDeltaSweepState
+
+    @pytest.mark.parametrize("query", ["a.b", "(a+b)*"])
+    def test_a_fresh_node_fills_a_row_slot_already_allocated(self, query):
+        """Row slots come 64 at a time, like the columns: interning 64
+        nodes one edge at a time crosses one block boundary, so every
+        retained matrix moves at most twice (out of the kernel's
+        exact-size build, then at the boundary) and in between only its
+        exact ``(num_nodes, B)`` view is re-cut."""
+        db = GraphDB([(f"n{i}", "ab"[i % 2], f"n{i + 1}") for i in range(39)])
+        compiled = compiled_for(query)
+        state = NumpyDeltaSweepState(db, compiled)
+
+        def matrices():
+            return [state.answers_matrix, *state.reached.values()]
+
+        moves = [0] * len(matrices())
+        blocks_seen = {state.num_blocks}
+        for i in range(64):
+            before = matrices()
+            edge = (f"n{i}", "ab"[i % 2], f"fresh{i}")
+            db.add_edge(*edge)
+            state.apply_insertions([edge])
+            for slot, (old, new) in enumerate(zip(before, matrices())):
+                assert new.shape == (db.num_nodes, state.num_blocks)
+                moves[slot] += not np.shares_memory(old, new)
+            blocks_seen.add(state.num_blocks)
+            assert_bit_identical(state, db, compiled)
+        assert blocks_seen == {1, 2}
+        assert max(moves) <= 2, moves
+        # Only a plain int index reads a row as an int; slices stay arrays.
+        answers = state.answer_masks
+        assert answers[5] == int.from_bytes(state.answers_matrix[5].tobytes(), "little")
+        assert np.array_equal(answers[5:7], state.answers_matrix[5:7])
+
+
+class TestBatchesBlockRows(TestBatches):
+    state_class = NumpyDeltaSweepState
+
+
+class TestRandomizedBlockRows(TestRandomized):
+    state_class = NumpyDeltaSweepState
+
+
+class TestDeletionsBlockRows(TestDeletions):
+    state_class = NumpyDeltaSweepState
+
+
+class TestRandomizedDeletionsBlockRows(TestRandomizedDeletions):
+    state_class = NumpyDeltaSweepState
+
+
+class TestErrorsBlockRows(TestErrors):
+    state_class = NumpyDeltaSweepState
