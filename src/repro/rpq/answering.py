@@ -24,6 +24,7 @@ from .graphdb import GraphDB
 from .query import RPQ, QuerySpec
 from .rewriting import RPQRewritingResult
 from .theory import Theory
+from .views import answer_on_extensions
 
 __all__ = [
     "answer_with_views",
@@ -42,14 +43,12 @@ def answer_with_views(
 
     Sound by Definition 4.3 on any database consistent with the
     extensions; complete as well when ``result.is_exact()`` holds and the
-    extensions are exact materializations.  Delegates to the service
-    layer's shared :func:`~repro.service.store.answer_on_extensions`
-    helper (as does :meth:`RPQRewritingResult.answer`); for a long-lived
+    extensions are exact materializations.  Delegates to the shared
+    :func:`~repro.rpq.views.answer_on_extensions` helper (as does
+    :meth:`RPQRewritingResult.answer`); for a long-lived
     store with incremental updates, use
     :class:`repro.service.QuerySession` instead.
     """
-    from ..service.store import answer_on_extensions
-
     return answer_on_extensions(result.automaton, extensions)
 
 

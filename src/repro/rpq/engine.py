@@ -113,11 +113,7 @@ def evaluate_all(
     See :func:`evaluate_all_sorted` for the deterministically ordered
     variant of the same answer set.
     """
-    node_at = db.node_at
-    return frozenset(
-        (node_at(source_id), node_at(target_id))
-        for source_id, target_id in _all_pairs_ids(db, compiled, backend)
-    )
+    return frozenset(evaluate_all_sorted(db, compiled, backend=backend))
 
 
 def evaluate_all_sorted(
@@ -134,11 +130,10 @@ def evaluate_all_sorted(
     the same key — which is what lets differential harnesses compare
     whole lists byte for byte instead of set-compare only.
     """
-    id_pairs = _all_pairs_ids(db, compiled, backend, ordered=True)
     node_at = db.node_at
     return [
         (node_at(source_id), node_at(target_id))
-        for source_id, target_id in id_pairs
+        for source_id, target_id in _all_pairs_ids(db, compiled, backend)
     ]
 
 
@@ -146,16 +141,11 @@ def _all_pairs_ids(
     db: GraphDB,
     compiled: CompiledAutomaton,
     backend: str = "auto",
-    *,
-    ordered: bool = False,
 ) -> list[tuple[int, int]]:
-    """The all-pairs sweep, decoded to dense-id pairs.
-
-    Order contract: the numpy path *always* returns the pairs sorted by
-    ``(source_id, target_id)`` — ``kernel.decode_matrix`` produces them
-    that way and nobody re-sorts them; the big-int path returns them in
-    mask-decode order unless ``ordered`` asks for the same sort.  The
-    *pair sets* are bit-identical by the kernel's exactness contract.
+    """The all-pairs sweep, decoded to dense-id pairs sorted by
+    ``(source_id, target_id)`` — as ``kernel.decode_matrix`` produces them
+    on the numpy path, by one sort of the mask decode on the big-int one.
+    The *pair sets* are bit-identical by the kernel's exactness contract.
     """
     if db.num_nodes == 0 or not compiled.initials:
         return []
@@ -163,10 +153,7 @@ def _all_pairs_ids(
         return _kernel.all_pairs_ids(db.to_csr(), compiled)
     reached, frontier, answer_masks = _seed_all_pairs(db, compiled)
     _sweep_to_fixpoint(db, compiled, reached, frontier, answer_masks)
-    id_pairs = _decode_answer_masks(enumerate(answer_masks))
-    if ordered:
-        id_pairs.sort()
-    return id_pairs
+    return sorted(_decode_answer_masks(enumerate(answer_masks)))
 
 
 def evaluate_single_source(

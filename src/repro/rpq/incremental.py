@@ -60,6 +60,18 @@ and only rebuild on a state too stale to replay
 (:meth:`repro.service.store.MaterializedViewStore.delta_since` returning
 ``None``) or a changed compiled automaton.
 
+**One decoded answer.**  Beside the masks the state retains the answers
+in one decoded form: the node pairs in ``(source_id, target_id)`` order
+(:func:`repro.rpq.engine.evaluate_all_sorted`'s), from the first patched
+read on with each pair's order key packed into an int64 next to it.  A
+patch writes exactly the answer rows that change, so for its length
+``answer_masks`` is a :class:`_RecordingRows`, which notes what a row held
+before its first write since the last read; the next read folds ``mask ^
+before`` of just those rows into the lists by bisect — no snapshot of the
+masks, no scan, no re-sort (a diff of thousands of pairs is decoded
+afresh: ``_REFILL_ABOVE``).  The bookkeeping is O(delta); the read itself
+then copies the list, or hashes it into a frozenset, for the caller.
+
 **One algorithm, two layouts.**  The block matrices exist because
 :func:`repro.sweep.kernel.sweep_window` builds them 5–20x faster than the
 big-int sweep above the ``auto`` threshold and ``decode_matrix`` reads
@@ -80,7 +92,10 @@ node); the per-row numpy re-implementation this replaced took 190–205 ms
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Iterator
+from array import array
+from bisect import bisect_left
+from dataclasses import dataclass
+from typing import Hashable, Iterable
 
 import numpy as np
 
@@ -95,14 +110,42 @@ __all__ = ["DeltaSweepState", "NumpyDeltaSweepState", "make_delta_state"]
 Pair = tuple[Hashable, Hashable]
 Edge = tuple[Hashable, Hashable, Hashable]  # (source, label, target)
 
+# Changed pairs per read above which the decode is refilled, not folded: a
+# folded pair shifts the tail of both retained lists (up to ~0.7 ns a slot),
+# a refilled one is decoded once (~1 µs).  Both grow with the list, so they
+# cross at a count (900 to 2 400, on lists of 20k and 245k), not a share.
+_REFILL_ABOVE = 2048
+
+
+@dataclass(slots=True)
+class _RecordingRows:
+    """``answer_masks`` for the length of a patch: the first write to a row
+    since the last read records in ``before`` what the row held.  ``len`` and
+    int indexing are all that the patch code and the fixpoint loop use."""
+
+    rows: "list[int] | _IntRows"
+    before: dict[int, int]
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, node: int) -> int:
+        return self.rows[node]
+
+    def __setitem__(self, node: int, mask: int) -> None:
+        if node not in self.before:
+            self.before[node] = self.rows[node]
+        self.rows[node] = mask
+
 
 class DeltaSweepState:
     """Retained all-pairs sweep state, resumable from inserted edges.
 
-    Construction runs one full sweep of ``compiled`` over ``db`` and
-    keeps its fixpoint alive; :meth:`apply_insertions` then advances the
-    fixpoint from edge deltas in time proportional to the *consequences*
-    of the inserted edges, not the size of the graph.  The state is
+    Construction runs one full sweep of ``compiled`` over ``db``, keeps
+    its fixpoint alive and decodes the answers once; :meth:`apply_insertions`
+    then advances the fixpoint in time proportional to the *consequences*
+    of the inserted edges, not the size of the graph, and a read updates
+    the decode from the answer rows the patches wrote.  The state is
     valid exactly as long as
 
     * ``db`` is the same live graph object (node interning order is the
@@ -129,8 +172,9 @@ class DeltaSweepState:
         "edges_deleted",
         "overdeleted_bits",
         "rederived_bits",
+        "_keys",
         "_pairs",
-        "_masks_snapshot",
+        "_before",
     )
 
     def __init__(self, db: GraphDB, compiled: CompiledAutomaton):
@@ -142,22 +186,19 @@ class DeltaSweepState:
         self.edges_deleted = 0
         self.overdeleted_bits = 0
         self.rederived_bits = 0
-        # The decoded answer set is maintained incrementally as well:
-        # answers() decodes only the per-target diff against the masks it
-        # last saw — on a store with tens of thousands of answers, a full
-        # decode would dominate the cost of absorbing a one-tuple delta.
-        self._pairs: set[Pair] = set()
-        self._sync_pairs()
+        # {target id: answer mask before the first write since the last
+        # read}: what a patch wrote is all the next read has to decode.
+        self._before: dict[int, int] = {}
+        self._fill()
 
     def _build(self) -> None:
         """Run the full sweep and retain it in this class's row layout:
-        ``reached``, ``answer_masks`` and an all-zero sync snapshot."""
+        ``reached`` and ``answer_masks``."""
         db, compiled = self.db, self.compiled
         reached, frontier, answer_masks = _engine._seed_all_pairs(db, compiled)
         _engine._sweep_to_fixpoint(db, compiled, reached, frontier, answer_masks)
         self.reached = reached
         self.answer_masks = answer_masks
-        self._masks_snapshot: list[int] = [0] * self.num_nodes
 
     # ------------------------------------------------------------------
     # Delta absorption
@@ -182,7 +223,7 @@ class DeltaSweepState:
         initials = compiled.initials
         finals = compiled.finals
         reached = self.reached
-        answer_masks = self.answer_masks
+        answer_masks = _RecordingRows(self.answer_masks, self._before)
         node_id = db.node_id
         frontier: dict[int, dict[int, int]] = {}
         applied = 0
@@ -283,7 +324,7 @@ class DeltaSweepState:
         initials = compiled.initials
         finals = compiled.finals
         reached = self.reached
-        answer_masks = self.answer_masks
+        answer_masks = _RecordingRows(self.answer_masks, self._before)
         node_id = db.node_id
         label_out = db.label_out_index
         label_in = db.label_in_index
@@ -419,75 +460,78 @@ class DeltaSweepState:
     def _grow(self, num_nodes: int) -> None:
         """Widen the per-node arrays after the graph interned new nodes.
 
-        New ids extend every mask row with zero bits; under an
-        epsilon-accepting automaton each new node also contributes its
-        reflexive answer, exactly as a full sweep would seed it.
+        New ids extend every mask row with zero bits (:meth:`_widen`, the
+        layout's part); under an epsilon-accepting automaton each new node
+        also contributes its reflexive answer, as a full sweep would seed it.
         """
-        extra = num_nodes - self.num_nodes
-        for state_reached in self.reached.values():
-            state_reached.extend([0] * extra)
-        if self.compiled.accepts_epsilon:
-            self.answer_masks.extend(
-                1 << v for v in range(self.num_nodes, num_nodes)
-            )
-        else:
-            self.answer_masks.extend([0] * extra)
-        self._masks_snapshot.extend([0] * extra)
+        old_nodes = self.num_nodes
+        self._widen(num_nodes)
         self.num_nodes = num_nodes
+        if self.compiled.accepts_epsilon:
+            answer_masks = _RecordingRows(self.answer_masks, self._before)
+            for v in range(old_nodes, num_nodes):
+                answer_masks[v] = 1 << v
+
+    def _widen(self, num_nodes: int) -> None:
+        extra = [0] * (num_nodes - self.num_nodes)
+        for state_reached in self.reached.values():
+            state_reached.extend(extra)
+        self.answer_masks.extend(extra)
 
     # ------------------------------------------------------------------
-    # Answers (decoded from the retained masks)
+    # Answers (one sorted decode, kept in order by the rows a patch wrote)
     # ------------------------------------------------------------------
-    def _changed_answers(self) -> Iterator[tuple[int, int, int]]:
-        """``(target_id, mask, seen)`` per target whose answer mask differs
-        from the sync snapshot, which is brought up to date; the unchanged
-        ones (nearly all, after a small delta) cost one int comparison each."""
-        snapshot = self._masks_snapshot
-        for target_id, (mask, seen) in enumerate(zip(self.answer_masks, snapshot)):
-            if mask != seen:
-                snapshot[target_id] = mask
-                yield target_id, mask, seen
-
-    def _sync_pairs(self) -> None:
-        """Fold changed answer bits into the decoded pair set.
-
-        Per target, the diff against the snapshot splits into gained bits
-        (insertions, rederivations) and lost bits (deletions absorbed by
-        :meth:`apply_deletions`).
-        """
-        node_at = self.db.node_at
-        pairs = self._pairs
-        for target_id, mask, seen in self._changed_answers():
-            target = node_at(target_id)
-            new_bits = mask & ~seen
-            while new_bits:
-                low_bit = new_bits & -new_bits
-                pairs.add((node_at(low_bit.bit_length() - 1), target))
-                new_bits ^= low_bit
-            lost_bits = seen & ~mask
-            while lost_bits:
-                low_bit = lost_bits & -lost_bits
-                pairs.discard((node_at(low_bit.bit_length() - 1), target))
-                lost_bits ^= low_bit
-
     def answer_ids(self) -> list[tuple[int, int]]:
         """The current answers as dense-id pairs, sorted by ``(source,
-        target)``."""
+        target)``, decoded in full from the masks."""
         return sorted(_engine._decode_answer_masks(enumerate(self.answer_masks)))
+
+    def _fill(self) -> None:
+        """Decode every answer to node pairs in ``(source_id, target_id)``
+        order; the packed order keys wait for the first fold that bisects."""
+        node_at = self.db.node_at
+        self._pairs = [(node_at(s), node_at(t)) for s, t in self.answer_ids()]
+        self._keys = None
+
+    def _fold(self) -> list[Pair]:
+        """The decoded answers, brought up to date: per answer row written
+        since the last read, the bits of ``mask ^ before`` enter (gained:
+        insertions, rederivations) or leave (lost: deletions) at the place
+        bisect finds for their key."""
+        before, masks = self._before, self.answer_masks
+        changed = [(row, masks[row], old) for row, old in before.items()]
+        before.clear()
+        if sum((mask ^ old).bit_count() for _, mask, old in changed) > _REFILL_ABOVE:
+            self._fill()
+            return self._pairs
+        node_at, node_id, pairs = self.db.node_at, self.db.node_id, self._pairs
+        if changed and self._keys is None:  # never patched, never bisected
+            self._keys = array("q", [node_id(s) << 32 | node_id(t) for s, t in pairs])
+        keys = self._keys
+        for target_id, mask, old in changed:
+            target, bits = node_at(target_id), mask ^ old
+            while bits:
+                low_bit = bits & -bits
+                source_id = low_bit.bit_length() - 1
+                key = source_id << 32 | target_id
+                at = bisect_left(keys, key)
+                if mask & low_bit:
+                    keys.insert(at, key)
+                    pairs.insert(at, (node_at(source_id), target))
+                else:
+                    del keys[at], pairs[at]
+                bits ^= low_bit
+        return pairs
 
     def answers(self) -> frozenset[Pair]:
         """The current answer set, decoded to node objects."""
-        self._sync_pairs()
-        return frozenset(self._pairs)
+        return frozenset(self._fold())
 
     def answers_sorted(self) -> list[Pair]:
         """Answers sorted by ``(node_id(x), node_id(y))`` — byte-identical
-        to :func:`repro.rpq.engine.evaluate_all_sorted` on the same graph."""
-        node_at = self.db.node_at
-        return [
-            (node_at(source_id), node_at(target_id))
-            for source_id, target_id in self.answer_ids()
-        ]
+        to :func:`repro.rpq.engine.evaluate_all_sorted` on the same graph.
+        The list is the caller's own."""
+        return list(self._fold())
 
     def __repr__(self) -> str:
         return (
@@ -539,18 +583,16 @@ class NumpyDeltaSweepState(DeltaSweepState):
 
     * the build — the kernel sweep, with a matrix for *every* automaton
       state up front, so no row list is ever created lazily;
-    * :meth:`_grow` — row slots come 64 at a time, like the columns;
-    * the scan for changed answer rows that feeds the decoded pair set —
-      one vectorized compare instead of ``num_nodes`` int compares;
+    * :meth:`_widen` — row slots come 64 at a time, like the columns;
     * :meth:`answer_ids` — ``decode_matrix``.
 
     Everything else — insert resume, the three DRed phases, the answer
-    settle, the counters, the resumed fixpoint — is inherited: ``reached``
-    and ``answer_masks`` are :class:`_IntRows` views of the matrices, so
-    each row the algorithm touches crosses the boundary
-    as one Python int (why, and what a patch then costs: the module
-    docstring).  ``answers_matrix`` is ``answer_masks``' memory as a
-    plain array.  Validity contract, idempotence and bit-identity to a
+    settle, the counters, the resumed fixpoint, the recorded rows and the
+    fold that keeps the decode in order — is inherited: ``reached`` and
+    ``answer_masks`` are :class:`_IntRows` views of the matrices, so each
+    row the algorithm touches crosses the boundary as one Python int (why:
+    the module docstring).  ``answers_matrix`` is ``answer_masks``' memory
+    as a plain array.  Validity contract, idempotence and bit-identity to a
     from-scratch rebuild are :class:`DeltaSweepState`'s, held to the same
     oracle by ``tests/rpq/test_incremental.py`` and the differential harness.
     """
@@ -574,69 +616,44 @@ class NumpyDeltaSweepState(DeltaSweepState):
                 state: np.zeros_like(answers)
                 for state in compiled.table.keys() | compiled.rtable.keys()
             }
-        self._adopt(matrices, answers, np.zeros_like(answers))
+        self._adopt(matrices, answers)
 
-    def _adopt(self, matrices, answers, snapshot) -> None:
+    def _adopt(self, matrices, answers) -> None:
         """Retain exact ``(num_nodes, B)`` matrices: ``reached`` and
         ``answer_masks``, which the inherited code reads, as their
-        :class:`_IntRows` views; ``answers_matrix`` and the sync snapshot,
-        which only this class reads, as plain arrays."""
+        :class:`_IntRows` views; ``answers_matrix``, which only this class
+        reads, as a plain array."""
         self.reached = {
             state: matrix.view(_IntRows) for state, matrix in matrices.items()
         }
         self.answers_matrix = answers
         self.answer_masks = answers.view(_IntRows)
-        self._masks_snapshot = snapshot
 
-    def _grow(self, num_nodes: int) -> None:
-        """Widen the matrices after the graph interned new nodes.
-
-        Row slots are allocated as the columns are, a block of 64 at a
-        time: all retained matrices live in one zeroed ``(states + 2,
+    def _widen(self, num_nodes: int) -> None:
+        """Row slots are allocated as the columns are, a block of 64 at a
+        time: all retained matrices live in one zeroed ``(states + 1,
         64 * B, B)`` store, re-allocated only when ``B`` itself grows (or
         on the first growth, out of the kernel's exact-size build), and
         ``reached`` / ``answers_matrix`` are re-cut as its exact
         ``(num_nodes, B)`` views — a fresh node otherwise costs a few
-        slices, not a copy of every matrix.  The epsilon diagonal of each
-        new node is seeded exactly as a full sweep would.
-        """
+        slices, not a copy of every matrix."""
         old_nodes, old_blocks = self.num_nodes, self.num_blocks
-        num_blocks = blocks_for(num_nodes)
+        self.num_blocks = num_blocks = blocks_for(num_nodes)
         store = self._store
         if store is None or num_nodes > store.shape[1]:
-            matrices = [
-                self.answers_matrix, self._masks_snapshot, *self.reached.values()
-            ]
+            matrices = [self.answers_matrix, *self.reached.values()]
             store = self._store = np.zeros(
                 (len(matrices), num_blocks << 6, num_blocks), dtype=np.uint64
             )
             for slot, matrix in zip(store, matrices):
                 slot[:old_nodes, :old_blocks] = matrix
-        self.num_nodes = num_nodes
-        self.num_blocks = num_blocks
-        answers, snapshot, *rows = store[:, :num_nodes]
-        self._adopt(dict(zip(self.reached, rows)), answers, snapshot)
-        if self.compiled.accepts_epsilon:
-            for v in range(old_nodes, num_nodes):
-                self.answer_masks[v] = 1 << v
-
-    def _changed_answers(self) -> Iterator[tuple[int, int, int]]:
-        answers = self.answers_matrix
-        snapshot = self._masks_snapshot
-        changed = np.flatnonzero((answers != snapshot).any(axis=1))
-        # One gather per side, each row an int cut from its bytes.
-        masks = answers[changed].tobytes()
-        seen = snapshot[changed].tobytes()
-        snapshot[changed] = answers[changed]
-        width, to_int = self.num_blocks << 3, int.from_bytes
-        for at, target_id in zip(range(0, len(masks), width), changed.tolist()):
-            mask, old = masks[at : at + width], seen[at : at + width]
-            yield target_id, to_int(mask, "little"), to_int(old, "little")
+        answers, *rows = store[:, :num_nodes]
+        self._adopt(dict(zip(self.reached, rows)), answers)
 
     def answer_ids(self) -> list[tuple[int, int]]:
         """The current answers as dense-id pairs, sorted by ``(source,
         target)`` — ``kernel.decode_matrix``'s order contract, relied on
-        by :meth:`answers_sorted` without a second sort."""
+        by the retained decode without a second sort."""
         sources, targets = _kernel.decode_matrix(self.answers_matrix, self.num_nodes)
         return list(zip(sources.tolist(), targets.tolist()))
 

@@ -52,7 +52,7 @@ from .formulas import Const, Formula
 from .graphdb import GraphDB
 from .query import RPQ, QuerySpec
 from .theory import Theory
-from .views import RPQViews
+from .views import RPQViews, answer_on_extensions
 
 __all__ = ["rewrite_rpq", "RPQRewritingResult", "STRATEGIES"]
 
@@ -146,8 +146,6 @@ class RPQRewritingResult:
         from ``db`` when absent (the data-integration scenario supplies them
         directly and never touches ``db``).
         """
-        from ..service.store import answer_on_extensions
-
         if extensions is None:
             extensions = self.views.materialize(db, self.theory)
         return answer_on_extensions(self.automaton, extensions)

@@ -14,12 +14,12 @@ from __future__ import annotations
 
 from typing import Hashable, Iterable, Iterator, Mapping
 
-from .evaluation import evaluate
+from .evaluation import ans, evaluate
 from .graphdb import GraphDB
 from .query import RPQ, QuerySpec
 from .theory import Theory
 
-__all__ = ["RPQViews", "view_graph"]
+__all__ = ["RPQViews", "view_graph", "answer_on_extensions"]
 
 Pair = tuple[Hashable, Hashable]
 
@@ -103,3 +103,15 @@ def view_graph(extensions: Mapping[Hashable, Iterable[Pair]]) -> GraphDB:
         for x, y in pairs:
             graph.add_edge(x, symbol, y)
     return graph
+
+
+def answer_on_extensions(
+    language, extensions: Mapping[Hashable, Iterable[Pair]]
+) -> frozenset[Pair]:
+    """Evaluate a rewriting over view extensions alone (no base access):
+    interpret each view symbol as its extension, then evaluate the Sigma_Q
+    language on the induced graph.  The one implementation of that, behind
+    :meth:`repro.rpq.rewriting.RPQRewritingResult.answer`,
+    :func:`repro.rpq.answering.answer_with_views` and (re-exported)
+    :mod:`repro.service.store`."""
+    return ans(language, view_graph(extensions))

@@ -18,7 +18,7 @@ halves built underneath it:
   single-pair answering against the current store version, with plan
   state immune to data changes and evaluation state invalidated by them;
 * :func:`answer_on_extensions` — the shared one-shot helper turning raw
-  extensions into answers (used by the ``repro.rpq`` convenience API);
+  extensions into answers (defined in :mod:`repro.rpq.views`);
 * :class:`RPQServer` / :class:`TenantConfig` / :func:`run_in_thread` —
   the async multi-tenant HTTP/JSON front end: executor-confined tenants
   with version-pinned reads, bounded admission (429 on overflow), and

@@ -28,9 +28,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Mapping
 
-from ..rpq.evaluation import ans
 from ..rpq.graphdb import GraphDB
-from ..rpq.views import view_graph
+from ..rpq.views import answer_on_extensions
 
 __all__ = ["MaterializedViewStore", "StoreDelta", "answer_on_extensions"]
 
@@ -68,22 +67,6 @@ class StoreDelta:
     def pure_insertions(self) -> bool:
         """Can evaluation state be patched forward (no deletions)?"""
         return not self.deletions
-
-
-def answer_on_extensions(
-    language, extensions: Mapping[Hashable, Iterable[Pair]]
-) -> frozenset[Pair]:
-    """Evaluate a rewriting over view extensions alone (no base access).
-
-    The one shared implementation of "interpret each view symbol as its
-    extension, then evaluate the Sigma_Q language on the induced graph" —
-    used by :meth:`repro.rpq.rewriting.RPQRewritingResult.answer`, by
-    :func:`repro.rpq.answering.answer_with_views`, and by the service's
-    :class:`~repro.service.session.QuerySession` (which additionally keeps
-    the induced graph alive in a :class:`MaterializedViewStore` instead of
-    rebuilding it per call).
-    """
-    return ans(language, view_graph(extensions))
 
 
 class MaterializedViewStore:

@@ -2,7 +2,14 @@
 
 import pytest
 
-from repro.rpq import RPQViews, Theory, answer_with_views, rewrite_rpq
+from repro.rpq import (
+    RPQViews,
+    Theory,
+    answer_with_views,
+    make_graph,
+    make_update_stream,
+    rewrite_rpq,
+)
 from repro.service import MaterializedViewStore, QuerySession, RewritePlanCache
 
 
@@ -64,6 +71,34 @@ class TestCaching:
         session.answer("a.b")
         session.answer("a.b")
         assert session.stats["answer_memo_hits"] == 1
+
+    def test_answer_sorted_hands_out_a_copy_of_the_memo(self, session):
+        first = session.answer_sorted("a.b")
+        first.reverse()
+        first.append(("not", "an answer"))
+        assert session.answer_sorted("a.b") == [("u", "z"), ("w", "z")]
+        assert session.answer("a.b") == frozenset({("u", "z"), ("w", "z")})
+
+    def test_every_request_shape_counts_one_request_and_at_most_one_hit(
+        self, session, store
+    ):
+        stats = session.stats
+
+        def counted(request, *args):
+            before = stats["requests"], stats["answer_memo_hits"]
+            request(*args)
+            return (
+                stats["requests"] - before[0],
+                stats["answer_memo_hits"] - before[1],
+            )
+
+        assert counted(session.answer_sorted, "a.b") == (1, 0)
+        assert counted(session.answer, "a.b") == (1, 1)
+        assert counted(session.answer_sorted, "a.b") == (1, 1)
+        assert counted(session.answer_many, ["a.b", "a", "a"]) == (3, 2)
+        store.add("q2", "v", "z2")
+        assert counted(session.answer, "a.b") == (1, 0)
+        assert counted(session.answer_many, ["a.b", "a"]) == (2, 1)
 
     def test_data_change_invalidates_answers_not_plans(self, session, store):
         plans = session.plans
@@ -240,6 +275,53 @@ class TestIncrementalMaintenance:
             (graph.node_id(x), graph.node_id(y)) for x, y in sorted_answers
         ]
         assert keys == sorted(keys)
+
+    def test_every_evaluation_path_returns_the_same_bytes(self):
+        """Default (patched in place), ``parallelism=2, workers=1`` (a
+        windowed sweep per version) and ``incremental=False`` (a full
+        build per version) over one mixed update stream: the sorted
+        answers are equal byte for byte after every step, and each
+        session's ``answer()`` is the set of its own list."""
+        labels = ("r", "d")
+        views = RPQViews({f"v_{label}": label for label in labels})
+        theory = Theory.trivial(set(labels))
+        db = make_graph("grid", seed=18, edges=120)
+        # Sorted: the stores must intern nodes in one order.
+        extensions = {
+            symbol: sorted(pairs)
+            for symbol, pairs in views.materialize(db, theory).items()
+        }
+        stream = make_update_stream(
+            "grid", 18, count=30, base=extensions,
+            delete_fraction=0.3, reinsert_fraction=0.5,
+        )
+        assert {op.op for op in stream} == {"insert", "delete"}
+        knobs = ({}, {"parallelism": 2, "workers": 1}, {"incremental": False})
+        sessions = [
+            QuerySession(MaterializedViewStore(extensions), views, theory, **knob)
+            for knob in knobs
+        ]
+        queries = ("r.d", "(r+d)*", "r.r*")
+
+        def answer_bytes(session):
+            return repr([session.answer_sorted(query) for query in queries]).encode()
+
+        for op in (None, *stream):
+            for session in sessions:
+                if op is not None and op.op == "insert":
+                    assert session.store.add(op.symbol, op.source, op.target)
+                elif op is not None:
+                    assert session.store.remove(op.symbol, op.source, op.target)
+            default, sharded, rebuilt = map(answer_bytes, sessions)
+            assert default == sharded == rebuilt
+            # The set form beside the list (memo hits): the same answers.
+            for session in sessions:
+                for query in queries:
+                    assert session.answer(query) == frozenset(
+                        session.answer_sorted(query)
+                    )
+        assert sessions[0].stats["incremental_updates"] == len(queries) * len(stream)
+        assert sessions[1].stats["parallel_sweeps"] == len(queries) * (len(stream) + 1)
 
     def test_states_are_per_plan(self, session, store):
         session.answer("a.b")
