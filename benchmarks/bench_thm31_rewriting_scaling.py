@@ -12,7 +12,8 @@ counts at least double per increment), measures the ablation of
 minimizing ``Ad`` before building ``A'``, and *gates* the compiled
 bitmask pipeline: on the scaling family it must beat the retained naive
 oracle by >= 5x while producing an isomorphic minimized rewriting on
-every benchmarked instance (``test_compiled_pipeline_speedup``).
+every benchmarked instance (``test_compiled_pipeline_speedup``).  One
+compiled-only cell at k = 11 (``|Ad|`` = 4 096) prints the three step times.
 """
 
 import time
@@ -75,6 +76,19 @@ def test_compiled_pipeline_speedup(k):
         f"speedup {speedup:.1f}x"
     )
     assert speedup >= REQUIRED_SPEEDUP
+
+
+def test_compiled_pipeline_k11():
+    """Compiled only (the naive oracle takes minutes here): ``|Ad|`` = 4 096,
+    where the step times show which of the three steps — ``Ad`` and the
+    complemented result are a Hopcroft pass each — the construction pays for."""
+    relation_cache_clear()
+    stats = maximal_rewriting(blowup_query(11), GATE_VIEWS).stats
+    assert (stats["ad_states"], stats["rewriting_states"]) == (4096, 4096)
+    print(
+        f"\n  k=11: Ad {stats['time_ad']:.3f}s, A' {stats['time_a_prime']:.3f}s, "
+        f"complement {stats['time_complement']:.3f}s"
+    )
 
 
 @pytest.mark.parametrize("k", [2, 4, 6])

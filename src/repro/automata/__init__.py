@@ -20,7 +20,7 @@ from .compiled import (
     view_transition_masks,
 )
 from .containment import are_equivalent, containment_counterexample, is_contained
-from .determinize import determinize, determinize_with_map
+from .determinize import determinize
 from .isomorphism import are_isomorphic, canonical_form
 from .dfa import DFA
 from .emptiness import enumerate_words, is_empty, is_universal, shortest_word
@@ -68,7 +68,6 @@ __all__ = [
     "word_nfa",
     "universal_nfa",
     "determinize",
-    "determinize_with_map",
     "minimize",
     "product_dfa",
     "intersect_dfa",

@@ -12,13 +12,11 @@ pipeline now runs on:
 * :func:`determinize_dense` — the Rabin–Scott subset construction over
   bitmask subsets, producing a *total* dense DFA directly (the dead
   subset ``0`` is materialized on demand and is its own sink).
-* :func:`minimize_dense` — Hopcroft's partition refinement where blocks,
-  splitters, and predecessor sets are all bitmasks.  Dense masks lose to
-  sparse sets once automata reach the 10^5-state scale of the Section 3.2
-  reduction instances, so above :data:`DENSE_MINIMIZE_LIMIT` states the
-  function transparently switches to ``_minimize_dense_sparse``, the same
-  refinement over per-element sets (the dense-array port of
-  :func:`repro.automata.minimize.minimize`).
+* :func:`minimize_dense` — the one minimiser, at every size: Hopcroft's
+  partition refinement over per-symbol predecessor lists, splitting only
+  the blocks a splitter's predecessors sit in, O(|Sigma| n log n)
+  (:func:`repro.automata.minimize.minimize` is the independent
+  dict-of-set reference it is tested against).
 * :func:`view_transition_masks` — the ``A'``-edge relation.  It is
   ``ans(view, Ad-as-a-graph)``, so it is computed by the label-indexed
   bit-row sweeps RPQ evaluation runs on (:mod:`repro.sweep`), with
@@ -62,13 +60,7 @@ __all__ = [
     "relation_cache_info",
     "relation_cache_clear",
     "iter_bits",
-    "DENSE_MINIMIZE_LIMIT",
 ]
-
-#: Above this many states, mask-based Hopcroft loses to the sparse
-#: set-based implementation (OR-ing n/64-word predecessor masks per
-#: splitter bit dominates); delegate instead.
-DENSE_MINIMIZE_LIMIT = 4096
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -298,136 +290,74 @@ def determinize_dense(nfa: NFA, symbols: tuple[Hashable, ...] | None = None) -> 
 
 
 # ----------------------------------------------------------------------
-# Hopcroft minimization over bitmask blocks
+# Hopcroft minimization
 # ----------------------------------------------------------------------
 
 
 def minimize_dense(dense: DenseDFA) -> DenseDFA:
     """The minimal total DFA for ``L(dense)`` (reachable part).
 
-    Mask-based Hopcroft below :data:`DENSE_MINIMIZE_LIMIT` states; the
-    sparse set-based refinement above it (on 10^5-state subset spaces,
-    OR-ing n/64-word predecessor masks per splitter bit is slower than
-    per-element set operations).
+    Hopcroft's partition refinement: a splitter's ``a``-predecessors are
+    grouped by the block they sit in and only those blocks are split (a
+    state has one ``a``-successor, so none is listed twice, and a block
+    splits exactly when fewer were listed than it holds); the smaller part
+    moves to a fresh block id, which becomes a splitter in turn —
+    O(|Sigma| n log n).  State numbering follows the refinement.
     """
-    if dense.num_states > DENSE_MINIMIZE_LIMIT:
-        return _minimize_dense_sparse(dense)
-
     delta = dense.delta
-    num_symbols = len(dense.symbols)
-    # Reachable restriction.
-    reach_mask = 1 << dense.initial
-    frontier = [dense.initial]
-    while frontier:
-        state = frontier.pop()
+    finals_mask = dense.finals_mask
+    symbol_indices = range(len(dense.symbols))
+    seen = bytearray(dense.num_states)
+    seen[dense.initial] = 1
+    reachable = [dense.initial]
+    for state in reachable:  # grows while iterated: a breadth-first queue
         for target in delta[state]:
-            bit = 1 << target
-            if not reach_mask & bit:
-                reach_mask |= bit
-                frontier.append(target)
+            if not seen[target]:
+                seen[target] = 1
+                reachable.append(target)
 
-    preds = [[0] * dense.num_states for _ in range(num_symbols)]
-    for state in iter_bits(reach_mask):
-        row = delta[state]
-        bit = 1 << state
-        for symbol_index in range(num_symbols):
-            preds[symbol_index][row[symbol_index]] |= bit
-
-    finals = dense.finals_mask & reach_mask
-    nonfinals = reach_mask & ~dense.finals_mask
-    partition = [block for block in (finals, nonfinals) if block]
-    worklist = [(block, a) for block in partition for a in range(num_symbols)]
-    while worklist:
-        splitter, symbol_index = worklist.pop()
-        symbol_preds = preds[symbol_index]
-        pred_mask = 0
-        for target in iter_bits(splitter):
-            pred_mask |= symbol_preds[target]
-        if not pred_mask:
-            continue
-        new_partition = []
-        for block in partition:
-            inside = block & pred_mask
-            if inside and inside != block:
-                outside = block & ~pred_mask
-                new_partition.append(inside)
-                new_partition.append(outside)
-                smaller = inside if inside.bit_count() <= outside.bit_count() else outside
-                for a in range(num_symbols):
-                    worklist.append((smaller, a))
-            else:
-                new_partition.append(block)
-        partition = new_partition
-
-    block_of = [0] * dense.num_states
-    for block_id, block in enumerate(partition):
-        for state in iter_bits(block):
-            block_of[state] = block_id
-    min_delta = []
-    min_finals = 0
-    for block_id, block in enumerate(partition):
-        witness = (block & -block).bit_length() - 1
-        if dense.finals_mask >> witness & 1:
-            min_finals |= 1 << block_id
-        min_delta.append([block_of[target] for target in delta[witness]])
-    return DenseDFA(dense.symbols, min_delta, block_of[dense.initial], min_finals)
-
-
-def _minimize_dense_sparse(dense: DenseDFA) -> DenseDFA:
-    """Set-based Hopcroft over the dense arrays (large-automaton path)."""
-    delta = dense.delta
-    num_symbols = len(dense.symbols)
-    reachable = {dense.initial}
-    frontier = [dense.initial]
-    while frontier:
-        state = frontier.pop()
-        for target in delta[state]:
-            if target not in reachable:
-                reachable.add(target)
-                frontier.append(target)
-
-    inverse: list[dict[int, set[int]]] = [{} for _ in range(num_symbols)]
-    for state in reachable:
-        row = delta[state]
-        for symbol_index in range(num_symbols):
-            inverse[symbol_index].setdefault(row[symbol_index], set()).add(state)
-
-    finals = {state for state in reachable if dense.finals_mask >> state & 1}
-    nonfinals = reachable - finals
-    partition = [block for block in (finals, nonfinals) if block]
-    worklist: list[tuple[frozenset[int], int]] = [
-        (frozenset(block), a) for block in partition for a in range(num_symbols)
+    inverse: list[list[list[int]]] = [
+        [[] for _ in range(dense.num_states)] for _ in symbol_indices
     ]
+    for state in reachable:
+        for symbol_inverse, target in zip(inverse, delta[state]):
+            symbol_inverse[target].append(state)
+
+    finals = {state for state in reachable if finals_mask >> state & 1}
+    blocks = [block for block in (finals, set(reachable) - finals) if block]
+    block_of = [0] * dense.num_states
+    for state in blocks[-1]:
+        block_of[state] = len(blocks) - 1
+    # The DFA is total, so the predecessors of one initial block are the
+    # complement of the other's: the smaller one splits for both.
+    smaller = min(range(len(blocks)), key=lambda block_id: len(blocks[block_id]))
+    worklist = [(smaller, a) for a in symbol_indices]
     while worklist:
         splitter, symbol_index = worklist.pop()
         symbol_inverse = inverse[symbol_index]
-        predecessors: set[int] = set()
-        for target in splitter:
-            predecessors |= symbol_inverse.get(target, set())
-        if not predecessors:
-            continue
-        new_partition: list[set[int]] = []
-        for block in partition:
-            inside = block & predecessors
-            outside = block - predecessors
-            if inside and outside:
-                new_partition.extend((inside, outside))
-                smaller = inside if len(inside) <= len(outside) else outside
-                for a in range(num_symbols):
-                    worklist.append((frozenset(smaller), a))
-            else:
-                new_partition.append(block)
-        partition = new_partition
+        touched: dict[int, list[int]] = {}
+        for target in blocks[splitter]:
+            for state in symbol_inverse[target]:
+                touched.setdefault(block_of[state], []).append(state)
+        for block_id, inside in touched.items():
+            block = blocks[block_id]
+            if len(inside) == len(block):
+                continue
+            block.difference_update(inside)
+            moved = set(inside)
+            if len(moved) > len(block):
+                blocks[block_id], moved = moved, block
+            new_id = len(blocks)
+            blocks.append(moved)
+            for state in moved:
+                block_of[state] = new_id
+            worklist.extend((new_id, a) for a in symbol_indices)
 
-    block_of = [0] * dense.num_states
-    for block_id, block in enumerate(partition):
-        for state in block:
-            block_of[state] = block_id
     min_delta = []
     min_finals = 0
-    for block_id, block in enumerate(partition):
+    for block_id, block in enumerate(blocks):
         witness = next(iter(block))
-        if dense.finals_mask >> witness & 1:
+        if finals_mask >> witness & 1:
             min_finals |= 1 << block_id
         min_delta.append([block_of[target] for target in delta[witness]])
     return DenseDFA(dense.symbols, min_delta, block_of[dense.initial], min_finals)

@@ -19,29 +19,11 @@ from typing import Hashable
 from .dfa import DFA
 from .nfa import NFA
 
-__all__ = ["determinize", "determinize_with_map"]
+__all__ = ["determinize"]
 
 
 def determinize(nfa: NFA) -> DFA:
     """Determinize ``nfa`` via the subset construction (partial DFA)."""
-    dfa, _mapping = _determinize(nfa, build_map=False)
-    return dfa
-
-
-def determinize_with_map(nfa: NFA) -> tuple[DFA, dict[int, frozenset[int]]]:
-    """Determinize and also return the DFA-state to NFA-subset mapping.
-
-    The subsets refer to the states of the epsilon-free trimmed form of the
-    input when epsilon moves were present.
-    """
-    dfa, mapping = _determinize(nfa, build_map=True)
-    assert mapping is not None
-    return dfa, mapping
-
-
-def _determinize(
-    nfa: NFA, build_map: bool
-) -> tuple[DFA, dict[int, frozenset[int]] | None]:
     if nfa.has_epsilon_moves():
         nfa = nfa.without_epsilon().trimmed()
     # Subsets are integer bitmasks: bit i stands for the i-th NFA state.
@@ -49,7 +31,6 @@ def _determinize(
     # than frozenset arithmetic on the large subset spaces the Section 3.2
     # constructions produce.
     state_index = {state: i for i, state in enumerate(sorted(nfa.states))}
-    index_state = {i: state for state, i in state_index.items()}
     move_masks: list[list[tuple[Hashable, int]]] = [[] for _ in state_index]
     for state in nfa.states:
         entries = []
@@ -90,26 +71,10 @@ def _determinize(
             row[symbol] = subset_ids[target]
         if row:
             transitions[state_id] = row
-    dfa = DFA(
+    return DFA(
         states=range(len(subset_ids)),
         alphabet=nfa.alphabet,
         transitions=transitions,
         initial=0,
         finals=dfa_finals,
     )
-    if not build_map:
-        return dfa, None
-    mapping = {
-        state_id: frozenset(
-            index_state[i] for i in _iter_bits(subset)
-        )
-        for subset, state_id in subset_ids.items()
-    }
-    return dfa, mapping
-
-
-def _iter_bits(mask: int):
-    while mask:
-        low_bit = mask & -mask
-        mask ^= low_bit
-        yield low_bit.bit_length() - 1

@@ -14,7 +14,7 @@ from typing import Hashable
 
 from .dfa import DFA
 
-__all__ = ["minimize", "equivalent_dfa_states"]
+__all__ = ["minimize"]
 
 
 def minimize(dfa: DFA, trim: bool = True) -> DFA:
@@ -91,16 +91,3 @@ def _hopcroft(dfa: DFA, reachable: set[int]) -> list[set[int]]:
                 new_partition.append(block)
         partition = new_partition
     return partition
-
-
-def equivalent_dfa_states(dfa: DFA) -> dict[int, int]:
-    """Map each reachable state to a canonical representative of its class."""
-    total = dfa.completed()
-    reachable = total.reachable_states()
-    blocks = _hopcroft(total, reachable)
-    mapping: dict[int, int] = {}
-    for block in blocks:
-        canon = min(block)
-        for state in block:
-            mapping[state] = canon
-    return mapping

@@ -21,16 +21,17 @@ Two implementations live side by side (mirroring the RPQ engine's
 pattern):
 
 * the **compiled pipeline** — the default behind :func:`maximal_rewriting`
-  — runs on the dense bitmask kernel of :mod:`repro.automata.compiled`:
-  bitset subset construction for ``Ad``; the ``A'`` edges as bit rows,
-  each view compiled against ``Ad``'s alphabet and swept over ``Ad``
+  — is :func:`rewrite_nfa` on the dense kernel of
+  :mod:`repro.automata.compiled`, shared with Section 4.2's
+  :func:`~repro.rpq.rewriting.rewrite_rpq`: bitset subset construction
+  and Hopcroft for ``Ad``; the ``A'`` edges as bit rows, each view
+  compiled against ``Ad``'s alphabet and swept over ``Ad``
   (:func:`~repro.automata.compiled.view_transition_masks` on
   :mod:`repro.sweep`, memoized per (``Ad``, view), shared with
   :func:`~repro.core.containing.existential_rewriting`); and step 3 fused
-  into one complemented subset sweep plus dense Hopcroft over those rows
-  (:func:`rewrite_from_ad`, shared with Section 4.2's
-  :func:`~repro.rpq.rewriting.rewrite_rpq`).  The ``A'`` automaton itself
-  is built only if a caller asks the result for it;
+  into one complemented subset sweep plus Hopcroft over those rows
+  (:func:`rewrite_from_ad`).  The ``A'`` automaton itself is built only
+  if a caller asks the result for it;
 * the **naive oracle** — :func:`naive_maximal_rewriting` and the
   ``naive_``-prefixed step functions — is the original dict-of-set
   transcription, retained for differential testing
@@ -63,6 +64,7 @@ from .result import RewritingResult
 __all__ = [
     "maximal_rewriting",
     "naive_maximal_rewriting",
+    "rewrite_nfa",
     "rewrite_from_ad",
     "build_ad",
     "naive_build_ad",
@@ -104,22 +106,52 @@ def maximal_rewriting(
     """
     views = _as_view_set(views)
     stats: dict[str, float] = {}
-
-    started = time.perf_counter()
-    ad, dense_ad = _build_ad_dense(e0, views, use_minimize=minimize_ad)
-    stats["ad_states"] = ad.num_states
-    stats["time_ad"] = time.perf_counter() - started
-
-    rewriting, relations = rewrite_from_ad(
-        dense_ad,
+    ad, rewriting, relations = rewrite_nfa(
+        *_query_over_sigma(e0, views),
         [views.nfa(symbol) for symbol in views.symbols],
         views.symbols,
         stats,
+        minimize_ad=minimize_ad,
         minimize_result=minimize_result,
     )
     return RewritingResult(
         automaton=rewriting, views=views, ad=ad, a_prime_rows=relations, stats=stats
     )
+
+
+def rewrite_nfa(
+    query: NFA,
+    sigma: Iterable[Hashable],
+    view_automata: Sequence[NFA],
+    symbols: tuple[Hashable, ...],
+    stats: dict[str, float],
+    minimize_ad: bool = True,
+    minimize_result: bool = True,
+    theory=None,
+) -> tuple[DFA, DFA, list[tuple[int, ...]]]:
+    """Steps 1 to 3 on the dense kernel: ``(Ad, rewriting, A' bit rows)``.
+
+    The construction once its inputs are automata — ``query`` over the
+    base alphabet ``sigma``, one automaton per view symbol (formula symbols
+    resolved through ``theory``) — shared by :func:`maximal_rewriting` and
+    :func:`~repro.rpq.rewriting.rewrite_rpq`.  ``Ad`` keeps its dense
+    form's ``0..n-1`` numbering, which the bit rows index.  Fills ``stats``.
+    """
+    started = time.perf_counter()
+    dense_ad = _dense_ad(query, sigma, minimize_ad)
+    ad = dense_ad.to_dfa()
+    stats["ad_states"] = ad.num_states
+    stats["time_ad"] = time.perf_counter() - started
+    rewriting, relations = rewrite_from_ad(
+        dense_ad, view_automata, symbols, stats, minimize_result, theory
+    )
+    return ad, rewriting, relations
+
+
+def _dense_ad(query: NFA, sigma: Iterable[Hashable], use_minimize: bool) -> DenseDFA:
+    """Step 1: the total (by default minimal) DFA for ``L(query)`` over ``sigma``."""
+    dense = determinize_dense(query, tuple(sorted(sigma, key=repr)))
+    return minimize_dense(dense) if use_minimize else dense
 
 
 def rewrite_from_ad(
@@ -132,11 +164,10 @@ def rewrite_from_ad(
 ) -> tuple[DFA, list[tuple[int, ...]]]:
     """Steps 2 and 3 on the dense kernel: ``(rewriting, A' bit rows)``.
 
-    The one pipeline behind Section 2 (:func:`maximal_rewriting`) and
-    Section 4.2 (:func:`~repro.rpq.rewriting.rewrite_rpq`, whose views may
-    carry formula symbols that ``theory`` resolves).  ``relations[k][i]``
-    is the target mask of the ``symbols[k]``-edges out of ``Ad`` state
-    ``i``.  Fills the step-2/3 entries of ``stats``.
+    The second half of :func:`rewrite_nfa` (views may carry formula
+    symbols that ``theory`` resolves).  ``relations[k][i]`` is the target
+    mask of the ``symbols[k]``-edges out of ``Ad`` state ``i``.  Fills the
+    step-2/3 entries of ``stats``.
     """
     started = time.perf_counter()
     relations = [
@@ -200,29 +231,20 @@ def build_ad(
     than vanish.  Runs on the dense kernel; :func:`naive_build_ad` is the
     dict-based original.
     """
-    ad, _dense = _build_ad_dense(e0, views, use_minimize=use_minimize)
-    return ad
+    return _dense_ad(*_query_over_sigma(e0, views), use_minimize).to_dfa()
 
 
-def _build_ad_dense(
-    e0: LanguageSpec, views: ViewSet, use_minimize: bool
-) -> tuple[DFA, DenseDFA]:
-    """Build ``Ad`` once, returning both the public DFA and its dense form.
-
-    The two share the ``0..n-1`` state numbering, so relation masks
-    computed on the dense form index directly into the DFA's states.
-    """
+def _query_over_sigma(
+    e0: LanguageSpec, views: ViewSet
+) -> tuple[NFA, frozenset[Hashable]]:
+    """``E0`` as an automaton, and Sigma = symbols(E0) + symbols(E)."""
     nfa = compile_spec(e0)
     sigma = nfa.alphabet | views.base_alphabet()
     if not sigma:
         # Degenerate case: all languages are subsets of {epsilon}.  Give the
         # automaton a throwaway symbol so completion yields a real sink.
         sigma = frozenset({"#dead"})
-    symbols = tuple(sorted(sigma, key=repr))
-    dense = determinize_dense(nfa, symbols)
-    if use_minimize:
-        dense = minimize_dense(dense)
-    return dense.to_dfa(), dense
+    return nfa, sigma
 
 
 def naive_build_ad(

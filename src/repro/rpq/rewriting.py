@@ -13,11 +13,11 @@ rewriting misses.  Instead the construction works modulo T:
    ``s_i`` to ``s_j``.
 3. The rewriting ``R_{Q,Q0}`` is the complement of ``A'`` (Theorem 4.2).
 
-Steps 2 and 3 are Section 2's, run by the same code
-(:func:`repro.core.rewriter.rewrite_from_ad`): each view is compiled
-against ``Ad``'s alphabet and swept over ``Ad``, and the ``A'`` bit rows
-are complemented directly.  ``strategy`` only selects how a view's
-symbols become D-labels:
+Once ``Q0`` is grounded these are Section 2's three steps, run by the
+same code (:func:`repro.core.rewriter.rewrite_nfa`): ``Ad`` by subset
+construction and Hopcroft, each view compiled against ``Ad``'s alphabet
+and swept over ``Ad``, the ``A'`` bit rows complemented directly.
+``strategy`` only selects how a view's symbols become D-labels:
 
 * ``"ground"`` — ground every view with ``Q^*`` first, then compile the
   plain D-automaton;
@@ -34,11 +34,10 @@ with equal formula signatures — is available via ``partition=True``.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Mapping, Sequence
 
-from ..automata.compiled import determinize_dense, minimize_dense, relation_nfa
+from ..automata.compiled import relation_nfa
 from ..automata.containment import containment_counterexample, is_contained
 from ..automata.dfa import DFA
 from ..automata.emptiness import enumerate_words, is_empty, shortest_word
@@ -46,7 +45,7 @@ from ..automata.nfa import NFA
 from ..automata.state_elim import to_regex
 from ..core.alphabet import ViewSet
 from ..core.expansion import expansion_nfa
-from ..core.rewriter import rewrite_from_ad
+from ..core.rewriter import rewrite_nfa
 from ..regex.ast import Regex
 from .formulas import Const, Formula
 from .graphdb import GraphDB
@@ -175,18 +174,10 @@ def rewrite_rpq(
     alphabet = _grounding_alphabet(query, views, theory, partition)
     stats["alphabet_size"] = len(alphabet)
 
-    started = time.perf_counter()
-    grounded_q0 = query.grounded(theory, restrict_to=alphabet)
-    dense_ad = minimize_dense(
-        determinize_dense(grounded_q0, tuple(sorted(alphabet, key=repr)))
-    )
-    ad = dense_ad.to_dfa()
-    stats["ad_states"] = ad.num_states
-    stats["time_ad"] = time.perf_counter() - started
-
     ground = strategy == "ground"
-    rewriting, relations = rewrite_from_ad(
-        dense_ad,
+    ad, rewriting, relations = rewrite_nfa(
+        query.grounded(theory, restrict_to=alphabet),
+        alphabet,
         [
             view.grounded(theory, restrict_to=alphabet) if ground else view.nfa()
             for view in map(views.rpq, views.symbols)

@@ -184,6 +184,10 @@ def plan_from_dict(data: Mapping[str, Any]) -> RPQRewritingResult:
     ]
     if any(len(rows) != ad.num_states for rows in a_prime_rows):
         raise ValueError("A' rows do not match the states of Ad")
+    if not all(
+        0 <= mask < 1 << ad.num_states for rows in a_prime_rows for mask in rows
+    ):
+        raise ValueError("an A' row names a state Ad does not have")
     return RPQRewritingResult(
         automaton=dfa_from_dict(data["automaton"]),
         views=views,

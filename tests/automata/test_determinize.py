@@ -4,7 +4,7 @@ import random
 
 from hypothesis import given, settings
 
-from repro.automata.determinize import determinize, determinize_with_map
+from repro.automata.determinize import determinize
 from repro.automata.random_gen import random_nfa
 from repro.automata.thompson import to_nfa
 from repro.regex.parser import parse
@@ -49,24 +49,3 @@ class TestCorrectness:
         dfa = determinize(to_nfa(parse("a*")))
         assert dfa.initial == 0
 
-
-class TestSubsetMap:
-    def test_map_covers_all_states(self):
-        nfa = to_nfa(parse("a.(b+c)*")).without_epsilon().trimmed()
-        dfa, mapping = determinize_with_map(nfa)
-        assert set(mapping.keys()) == set(dfa.states)
-        for subset in mapping.values():
-            assert subset <= nfa.states
-
-    def test_initial_subset_is_initials(self):
-        nfa = to_nfa(parse("a+b")).without_epsilon().trimmed()
-        _dfa, mapping = determinize_with_map(nfa)
-        assert mapping[0] == frozenset(nfa.initials)
-
-    def test_final_states_contain_final_subset_members(self):
-        nfa = to_nfa(parse("a.b*"))
-        dfa, mapping = determinize_with_map(nfa)
-        free = nfa.without_epsilon().trimmed()
-        for state in dfa.states:
-            expected = bool(mapping[state] & free.finals)
-            assert (state in dfa.finals) == expected

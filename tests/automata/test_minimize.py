@@ -6,7 +6,7 @@ from hypothesis import given, settings
 
 from repro.automata.containment import are_equivalent
 from repro.automata.determinize import determinize
-from repro.automata.minimize import equivalent_dfa_states, minimize
+from repro.automata.minimize import minimize
 from repro.automata.random_gen import random_dfa
 from repro.automata.thompson import to_nfa
 from repro.regex.parser import parse
@@ -72,15 +72,3 @@ class TestMinimality:
         reachable = small.reachable_states()
         assert all(state in reachable for state in small.states)
 
-
-class TestEquivalentStates:
-    def test_equivalence_classes(self):
-        dfa = dfa_of("a.a+a.a")
-        mapping = equivalent_dfa_states(dfa)
-        assert len(set(mapping.values())) <= dfa.completed().num_states
-
-    def test_all_reachable_mapped(self):
-        dfa = dfa_of("a.(b+c)")
-        mapping = equivalent_dfa_states(dfa)
-        for state in dfa.reachable_states():
-            assert state in mapping

@@ -6,11 +6,15 @@ independently.
 """
 
 import pytest
+from hypothesis import given, settings
 
-from repro.automata.containment import are_equivalent
+from repro.automata.containment import are_equivalent, is_contained
 from repro.core import ViewSet, maximal_rewriting
 from repro.core.exactness import METHODS, exactness_counterexample, is_exact
 from repro.core.expansion import expansion_nfa
+
+from ..conftest import regex_strategy
+from .test_rewriter_differential import view_sets
 
 
 EXACT_INSTANCES = [
@@ -71,6 +75,18 @@ class TestMethodsAgree:
         result = maximal_rewriting(e0, ViewSet(views))
         verdicts = {is_exact(result, method=m) for m in METHODS}
         assert len(verdicts) == 1
+
+    @settings(max_examples=50, deadline=None)
+    @given(e0=regex_strategy(max_leaves=5), views=view_sets())
+    def test_exactness_is_expansion_equality_on_random_instances(self, e0, views):
+        """Thm 2.3 / Cor 2.1 beyond the fixed lists: the rewriting is sound
+        (``exp(R) subseteq L(E0)``), and each method says "exact" precisely
+        when the expansion *is* ``L(E0)``."""
+        result = maximal_rewriting(e0, views)
+        assert is_contained(result.expansion(), result.ad)
+        exact = are_equivalent(result.expansion(), result.ad)
+        for method in METHODS:
+            assert is_exact(result, method=method) == exact, method
 
     def test_unknown_method_rejected(self):
         result = maximal_rewriting("a", {"e1": "a"})

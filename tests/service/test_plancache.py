@@ -155,6 +155,30 @@ class TestCache:
             tuple(rows) for rows in rebuilt.a_prime_rows
         ]
 
+    @pytest.mark.parametrize("bad_row", ["ff00", "-1"])
+    def test_a_prime_row_outside_ad_is_a_counted_miss_and_is_overwritten(
+        self, tmp_path, theory, views, bad_row
+    ):
+        """A row with a bit at or above ``Ad``'s state count (or a negative
+        one) used to load, and fail in the first ``plan.a_prime`` instead."""
+        plan_dir = tmp_path / "plans"
+        RewritePlanCache(plan_dir).get_or_build("a.b", views, theory)
+        (plan_file,) = plan_dir.glob("*.json")
+        payload = json.loads(plan_file.read_text())
+        assert len(payload["ad"]["states"]) < 8
+        payload["a_prime"]["q1"][0] = bad_row
+        plan_file.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="A' row"):
+            plan_from_dict(payload)
+
+        fresh = RewritePlanCache(plan_dir)
+        rebuilt = fresh.get_or_build("a.b", views, theory)
+        assert (fresh.stats["load_errors"], fresh.stats["built"]) == (1, 1)
+        assert rebuilt.a_prime.num_states == rebuilt.ad.num_states
+        after = RewritePlanCache(plan_dir)
+        after.get_or_build("a.b", views, theory)
+        assert (after.stats["loaded"], after.stats["load_errors"]) == (1, 0)
+
     def test_corrupt_entry_skips_with_a_warning(
         self, tmp_path, theory, views, caplog
     ):
