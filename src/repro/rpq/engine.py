@@ -65,10 +65,10 @@ Pair = tuple[Hashable, Hashable]
 
 # Auto backend selection: below this edge count the big-int sweep's tiny
 # constant factors win; at or above it the vectorized numpy kernel
-# (:mod:`repro.rpq.kernel`) amortizes its setup and pulls ahead.
+# (:mod:`repro.sweep.kernel`) amortizes its setup and pulls ahead.
 # ``benchmarks/bench_vectorized_sweep.py`` gates both ends of that claim:
 # a sparse cell right at the threshold (9 000-edge grid and scale-free
-# graphs, numpy >= 1.5x) and the dense 1.5M-edge cell (>= 10x).
+# graphs, numpy ~2x, gated >= 1.4x) and the dense 1.5M-edge cell (>= 7x).
 NUMPY_BACKEND_MIN_EDGES = 8192
 
 _BACKENDS = ("auto", "bigint", "numpy")

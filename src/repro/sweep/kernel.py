@@ -42,6 +42,21 @@ avoid.  Delta matrices, gather plans and adjacency bitmaps are only
 built at the hand-over, so a sweep that stays sparse never pays for
 them.
 
+**Columns.**  Only a *live* source — one with an out-edge matching an
+initial state's row, the set the sweep seeds from — can own a set bit, so
+:func:`all_pairs_ids` hands :func:`sweep_window` the ascending array of
+live ids in place of a ``[lo, hi)`` window (which is ``arange(lo, hi)``)
+whenever they fill at most half the blocks, ``2 * blocks_for(live) <=
+blocks_for(n)``: every matrix of the sweep, the hand-over threshold and
+the decode shrink by that factor and the block loop's peak stays under
+the full layout's.  ``live[column]`` is the source and ``live`` ascends,
+so the decode order holds with no spread back.  Callers that keep the
+matrix — :func:`repro.sweep.window_masks`, the sharded windows,
+``NumpyDeltaSweepState`` (a later insert makes new sources live) — are
+not narrowed: spreading bits back to ``(n, B)`` measured 1.0 ms a view
+on the 129-state ``Ad`` of the k = 7 blow-up query, more than the
+narrower sweep saved there (2.4 -> 0.9 ms).
+
 Exactness contract: for every graph and compiled automaton,
 :func:`all_pairs_ids` returns exactly the id pairs of
 ``engine._all_pairs_ids`` (the differential harness in
@@ -125,6 +140,22 @@ def _unpack_keys(matrix: np.ndarray) -> np.ndarray:
     return (words[hit] << 6) + bit
 
 
+def _seed_columns(snapshot, labels, sources: np.ndarray) -> np.ndarray:
+    """The positions in ascending ``sources`` of the ids with an out-edge
+    under one of ``labels`` (a state's row) — the only sources that can
+    start a path from that state.  Ascending and unique."""
+    hits = [
+        np.flatnonzero(
+            label_csr.out_indptr[sources + 1] != label_csr.out_indptr[sources]
+        )
+        for label in labels
+        if (label_csr := snapshot.label_csr(label)) is not None
+    ]
+    if not hits:
+        return np.empty(0, dtype=np.int64)
+    return _sorted_unique(np.concatenate(hits))
+
+
 def sweep_window(
     snapshot: CSRSnapshot,
     compiled: "CompiledAutomaton",
@@ -132,6 +163,7 @@ def sweep_window(
     hi: int | None = None,
     *,
     reached_out: dict | None = None,
+    sources: np.ndarray | None = None,
 ) -> np.ndarray:
     """Sweep sources in ``[lo, hi)``; return the answer block matrix.
 
@@ -141,6 +173,12 @@ def sweep_window(
     passes one shard's range per task, which keeps each task's matrices
     a factor ``k`` narrower (the same mask-width saving the big-int
     sweep gets from ``engine._seed_all_pairs(lo, hi)``).
+
+    ``sources`` (kernel-internal, :func:`all_pairs_ids` only) replaces the
+    window by an ascending array of source ids: column ``j`` is then
+    ``sources[j]``, ``lo``/``hi`` are ignored, and the adjacency-bitmap
+    shortcut — laid out for contiguous windows — is not taken.  Every other
+    caller gets the contiguous layout documented above, unchanged.
 
     With ``reached_out`` (a dict), the settled per-state ``(num_nodes,
     B)`` matrices, one per automaton state, are handed back after the
@@ -152,14 +190,16 @@ def sweep_window(
     num_nodes = snapshot.num_nodes
     if hi is None:
         hi = num_nodes
-    width = hi - lo
+    contiguous = sources is None
+    if contiguous:
+        sources = np.arange(lo, max(lo, hi), dtype=np.int64)
+    width = sources.size
     num_blocks = blocks_for(width)
     stride = num_blocks << 6  # bit key = node * stride + window column
     answers = np.zeros((num_nodes, num_blocks), dtype=np.uint64)
     if compiled.accepts_epsilon and width > 0:
-        window = np.arange(lo, hi, dtype=np.int64)
-        _or_keys(answers, window * stride + (window - lo))
-    if num_nodes == 0 or width <= 0 or not compiled.initials:
+        _or_keys(answers, sources * stride + np.arange(width))
+    if num_nodes == 0 or width == 0 or not compiled.initials:
         return answers
 
     table = compiled.table
@@ -171,22 +211,16 @@ def sweep_window(
 
     # Seed each initial state with the window sources that have an
     # out-edge matching its row (any other source contributes nothing
-    # beyond the epsilon answer): the diagonal ``(v, v - lo)``.
+    # beyond the epsilon answer): the diagonal ``(sources[j], j)``.
     pairs: dict[int, np.ndarray] = {}
     for state in compiled.initials:
-        seeds = [
-            np.flatnonzero(np.diff(label_csr.out_indptr[lo : hi + 1]))
-            for label in table.get(state, ())
-            if (label_csr := snapshot.label_csr(label)) is not None
-        ]
-        if not seeds:
-            continue
-        columns = _sorted_unique(np.concatenate(seeds))
+        columns = _seed_columns(snapshot, table.get(state, ()), sources)
         if columns.size:
-            pairs[state] = (columns + lo) * stride + columns
+            pairs[state] = sources[columns] * stride + columns
             _or_keys(reached[state], pairs[state])
 
-    seeded = True  # the deltas are still exactly the seed diagonals
+    # The deltas are still exactly the seed diagonals of ``[lo, hi)``.
+    seeded = contiguous
     while pairs:
         expansions = []
         expansion_pairs = 0
@@ -358,9 +392,28 @@ def matrix_to_masks(answers: np.ndarray) -> dict[int, int]:
 def all_pairs_ids(
     snapshot: CSRSnapshot, compiled: "CompiledAutomaton"
 ) -> list[tuple[int, int]]:
-    """The full all-pairs sweep, decoded to sorted dense-id pairs."""
-    if snapshot.num_nodes == 0 or not compiled.initials:
+    """The full all-pairs sweep, decoded to sorted dense-id pairs.
+
+    Columns go to the *live* sources only — the ids with an out-edge
+    matching an initial state's row — when they fill at most half the
+    blocks of the whole graph (module docstring, *Columns*); ``live``
+    ascends, so ``live[column]`` keeps :func:`decode_matrix`'s order.
+    An automaton that accepts the empty word is not narrowed: its answer
+    holds the diagonal of *every* node, live or not.
+    """
+    num_nodes = snapshot.num_nodes
+    if num_nodes == 0 or not compiled.initials:
         return []
-    answers = sweep_window(snapshot, compiled)
-    sources, targets = decode_matrix(answers, snapshot.num_nodes)
+    first_labels = {
+        label for state in compiled.initials for label in compiled.table.get(state, ())
+    }
+    live = _seed_columns(
+        snapshot, first_labels, np.arange(num_nodes, dtype=np.int64)
+    )
+    if compiled.accepts_epsilon or 2 * blocks_for(live.size) > blocks_for(num_nodes):
+        sources, targets = decode_matrix(sweep_window(snapshot, compiled), num_nodes)
+    else:
+        answers = sweep_window(snapshot, compiled, sources=live)
+        columns, targets = decode_matrix(answers, live.size)
+        sources = live[columns]
     return list(zip(sources.tolist(), targets.tolist()))

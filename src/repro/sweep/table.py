@@ -1,5 +1,23 @@
 """Automata compiled against a concrete label domain: symbols resolved,
-once, to the edge labels of the index the automaton will be swept over."""
+once, to the edge labels of the index the automaton will be swept over.
+
+**Twin states.**  Thompson construction plus epsilon elimination leaves
+states that differ in name only (``a.(a+b)*.b``: 12 states / 112
+transitions for a 3-state language), and every sweep pays per transition.
+After trimming, :func:`compile_automaton` merges states with identical
+``(final?, row)`` — equal right languages — and, in a *separate* step,
+states with identical ``(initial?, reverse row)`` — equal left languages,
+hence equal ``reached`` rows at every fixpoint — until neither step finds
+a pair.  ``a.a.b`` needs the first (both copies of the middle state read
+``a`` into the same set), ``a.b+a.c`` the second (its two ``a`` successors
+differ in what they read, not in how they are reached).  Each step is a
+quotient by a bisimulation, so the language is kept; one step that joined
+``p`` to ``q`` by rows *and* ``q`` to ``r`` by reverse rows would not be
+(``p`` and ``r`` need share neither language).  A table with no twins — a
+minimal DFA — costs one signature hash per state and direction (4 096
+states / 20 480 transitions: 50 -> 70 ms a compile); each step that merges
+rebuilds the table once, and the compile cache keeps the result.
+"""
 
 from __future__ import annotations
 
@@ -132,7 +150,9 @@ def compile_automaton(
     where every symbol — formula-valued or not — is matched by equality).
     Results are memoized per (automaton identity, theory identity, label
     domain, symbol discipline); ``NFA`` and ``Theory`` instances are
-    immutable, so identity keying is sound.
+    immutable, so identity keying is sound.  The table is trimmed to its
+    useful states and its twin states are merged (module docstring): state
+    ids are a subset of the input's, the language over ``labels`` is kept.
     """
     global _cache_hits, _cache_misses
     label_domain = labels if isinstance(labels, frozenset) else frozenset(labels)
@@ -179,7 +199,7 @@ def compile_automaton(
     table, initials, finals = _trim_useless_states(
         table, nfa.initials, nfa.finals
     )
-    compiled = CompiledAutomaton(table, initials, finals)
+    compiled = _merge_twin_states(CompiledAutomaton(table, initials, finals))
     _cache[key] = compiled
     if len(_cache) > _CACHE_MAXSIZE:
         _cache.popitem(last=False)
@@ -243,3 +263,42 @@ def _trim_useless_states(
     return trimmed, initials & useful, finals & useful
 
 
+def _merge_twin_states(compiled: CompiledAutomaton) -> CompiledAutomaton:
+    """Merge states with equal rows, then — never in the same step — states
+    with equal reverse rows, until neither finds a pair (module docstring)."""
+    while True:
+        before = compiled.num_states
+        compiled = _merge_equal_rows(compiled)
+        compiled = _merge_equal_rows(compiled.reversed()).reversed()
+        if compiled.num_states == before:
+            return compiled
+
+
+def _merge_equal_rows(compiled: CompiledAutomaton) -> CompiledAutomaton:
+    """One quotient step: every class of states with identical ``(final?,
+    row)`` becomes its smallest member.  ``compiled`` itself comes back
+    when all signatures differ — one hash per state, nothing rebuilt."""
+    table, finals = compiled.table, compiled.finals
+    states = compiled.initials | finals | table.keys() | compiled.rtable.keys()
+    first: dict[tuple, int] = {}
+    merged: dict[int, int] = {}
+    for state in sorted(states):
+        signature = (state in finals, frozenset(table.get(state, {}).items()))
+        twin = first.setdefault(signature, state)
+        if twin != state:
+            merged[state] = twin
+    if not merged:
+        return compiled
+
+    def renamed(some_states: frozenset[int]) -> frozenset[int]:
+        return frozenset(merged.get(state, state) for state in some_states)
+
+    return CompiledAutomaton(
+        {
+            state: {label: renamed(targets) for label, targets in row.items()}
+            for state, row in table.items()
+            if state not in merged  # a twin's row is its representative's
+        },
+        renamed(compiled.initials),
+        renamed(finals),
+    )

@@ -485,3 +485,150 @@ def test_sparse_sweep_never_allocates_delta_matrices():
     assert decisions and all(decisions)  # the input rule kept it sparse
     # The guard measures something: the block form does cross the bound.
     assert peak_inside_sweep(_always_blocks) > bound
+
+
+# ----------------------------------------------------------------------
+# Narrow columns: ``all_pairs_ids`` gives block columns only to the live
+# sources when they fit in half the blocks; the decoded list must not
+# change, in content or in order, under any round form.
+# ----------------------------------------------------------------------
+
+_NARROW_NODES = 260  # five blocks: at most two (128 sources) are narrowed
+
+
+def _fringe_graph(live_ids, seed=0, num_nodes=_NARROW_NODES):
+    """A random ``a`` relation over every node plus ``b`` edges leaving
+    exactly the nodes ``live_ids`` — the live sources of a ``b…`` query."""
+    rng = random.Random(seed)
+    db = GraphDB(nodes=[f"n{i}" for i in range(num_nodes)])
+    for _ in range(6 * num_nodes):
+        db.add_edge(f"n{rng.randrange(num_nodes)}", "a", f"n{rng.randrange(num_nodes)}")
+    for source in live_ids:
+        for _ in range(rng.choice((1, 1, 3))):
+            db.add_edge(f"n{source}", "b", f"n{rng.randrange(num_nodes)}")
+    assert [db.node_id(f"n{i}") for i in live_ids] == list(live_ids)
+    return db
+
+
+def _spread(count, seed):
+    return sorted(random.Random(seed).sample(range(_NARROW_NODES), count))
+
+
+def _counting_sweeps():
+    """``kernel.sweep_window`` wrapped through the module attribute — the
+    way ``benchmarks/suite/tracing.py`` wraps it — recording the source
+    array each sweep was handed."""
+    handed = []
+    original = kernel_mod.sweep_window
+
+    def counted(*args, **kwargs):
+        handed.append(kwargs.get("sources"))
+        return original(*args, **kwargs)
+
+    return mock.patch.object(kernel_mod, "sweep_window", counted), handed
+
+
+def _assert_kernel_is_bigint(db, compiled, narrowed_to):
+    """List equality (order included) with the big-int sweep under both
+    forced round forms and the default rule; ``narrowed_to`` is the live
+    source count the sweep must have been narrowed to, ``None`` for the
+    full-width layout."""
+    expected = engine_mod._all_pairs_ids(db, compiled, "bigint")
+    snapshot = db.to_csr()
+    for decide in (_always_pairs, _always_blocks, kernel_mod._pair_round_pays):
+        patched, handed = _counting_sweeps()
+        with patched, mock.patch.object(kernel_mod, "_pair_round_pays", decide):
+            assert kernel_mod.all_pairs_ids(snapshot, compiled) == expected
+        assert len(handed) == 1  # the span contract: one sweep per call
+        if narrowed_to is None:
+            assert handed[0] is None
+        else:
+            assert handed[0].size == narrowed_to
+    return expected
+
+
+class TestNarrowColumns:
+    @pytest.mark.parametrize("live", [1, 63, 64, 65, 128])
+    @pytest.mark.parametrize("expr", ["b.a.a", "b.a*", "b.(a+b)", "b"])
+    def test_block_boundaries(self, live, expr):
+        db = _fringe_graph(_spread(live, seed=live))
+        assert _assert_kernel_is_bigint(db, compiled_for(db, expr), narrowed_to=live)
+
+    def test_live_sources_only_in_the_last_block(self):
+        db = _fringe_graph(range(256, _NARROW_NODES))
+        for expr in ("b.a.a", "b.a*", "(b+b.a).a"):
+            pairs = _assert_kernel_is_bigint(db, compiled_for(db, expr), narrowed_to=4)
+            assert {source for source, _ in pairs} <= set(range(256, _NARROW_NODES))
+
+    def test_one_source_too_many_keeps_the_full_layout(self):
+        db = _fringe_graph(_spread(129, seed=129))  # three blocks of five
+        _assert_kernel_is_bigint(db, compiled_for(db, "b.a.a"), narrowed_to=None)
+
+    def test_all_live_query_is_not_narrowed(self):
+        db = _fringe_graph(_spread(7, seed=7))
+        assert len(db.label_out_index("a")) > 128
+        assert _assert_kernel_is_bigint(db, compiled_for(db, "a.b"), narrowed_to=None)
+
+    def test_epsilon_accepting_query_is_not_narrowed(self):
+        """``(b.a)*`` has 7 live sources but answers the diagonal of all
+        260 nodes, so it keeps the full-width layout (``all_pairs_ids``)."""
+        db = _fringe_graph(_spread(7, seed=7))
+        pairs = _assert_kernel_is_bigint(
+            db, compiled_for(db, "(b.a)*"), narrowed_to=None
+        )
+        assert {(v, v) for v in range(_NARROW_NODES)} < set(pairs)
+
+    def test_drained_store_with_ids_kept(self):
+        db = _fringe_graph(_spread(7, seed=7))
+        bounded, starred = compiled_for(db, "b.a.a"), compiled_for(db, "(b.a)*")
+        for edge in sorted(db.to_triples()):
+            db.remove_edge(*edge)
+        assert db.num_nodes == _NARROW_NODES
+        assert _assert_kernel_is_bigint(db, bounded, narrowed_to=0) == []
+        assert _assert_kernel_is_bigint(db, starred, narrowed_to=None) == [
+            (v, v) for v in range(_NARROW_NODES)
+        ]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        live=st.sets(st.integers(0, _NARROW_NODES - 1), max_size=140),
+        expr=st.sampled_from(["b.a", "b.a*.b", "(b+c).a.a", "b.(a+b)*", "(b.a)*"]),
+        seed=st.integers(0, 999),
+    )
+    def test_random_fringes(self, live, expr, seed):
+        db = _fringe_graph(sorted(live), seed)
+        compiled = compiled_for(db, expr)
+        assert kernel_mod.all_pairs_ids(
+            db.to_csr(), compiled
+        ) == engine_mod._all_pairs_ids(db, compiled, "bigint")
+
+    def test_narrowed_sweep_peaks_below_the_full_width_one(self):
+        """Memory guard: 16 live sources of 1 000 nodes sweep ``(n, 1)``
+        matrices, not ``(n, 16)``; both layouts run the block loop."""
+        db = _fringe_graph(_spread(16, seed=16), num_nodes=1000)
+        compiled = compiled_for(db, "b.a.a")
+        snapshot = db.to_csr()
+        live = np.array(sorted(db.label_out_index("b")), dtype=np.int64)
+        assert live.size == 16
+
+        def peak(**layout):
+            tracemalloc.start()
+            try:
+                baseline, _ = tracemalloc.get_traced_memory()
+                tracemalloc.reset_peak()
+                with mock.patch.object(kernel_mod, "_pair_round_pays", _always_blocks):
+                    answers = kernel_mod.sweep_window(snapshot, compiled, **layout)
+                return tracemalloc.get_traced_memory()[1] - baseline, answers
+            finally:
+                tracemalloc.stop()
+
+        peak()  # the snapshot memoises its gather plans: build them first
+        narrow_peak, narrow = peak(sources=live)
+        full_peak, full = peak()
+        assert narrow.shape == (1000, 1) and full.shape == (1000, 16)
+        assert 4 * narrow_peak < full_peak
+        # The narrow matrix is the full one's live columns, in order.
+        sources, targets = kernel_mod.decode_matrix(full, 1000)
+        columns, narrow_targets = kernel_mod.decode_matrix(narrow, live.size)
+        assert np.array_equal(live[columns], sources)
+        assert np.array_equal(narrow_targets, targets)
