@@ -569,6 +569,17 @@ class TestNarrowColumns:
         assert len(db.label_out_index("a")) > 128
         assert _assert_kernel_is_bigint(db, compiled_for(db, "a.b"), narrowed_to=None)
 
+    def test_every_call_is_exactly_one_sweep_window_span(self):
+        """The benchmark's tracer wraps ``kernel.sweep_window`` by module
+        attribute: narrowed or not, a sweep must go through that name."""
+        db = _fringe_graph(_spread(7, seed=7))
+        snapshot = db.to_csr()
+        patched, handed = _counting_sweeps()
+        with patched:
+            kernel_mod.all_pairs_ids(snapshot, compiled_for(db, "b.a"))  # narrowable
+            kernel_mod.all_pairs_ids(snapshot, compiled_for(db, "a.b"))  # all-live
+        assert [sources is not None for sources in handed] == [True, False]
+
     def test_epsilon_accepting_query_is_not_narrowed(self):
         """``(b.a)*`` has 7 live sources but answers the diagonal of all
         260 nodes, so it keeps the full-width layout (``all_pairs_ids``)."""
