@@ -22,9 +22,15 @@ byte for byte.
 
 **A non-blocking event loop.**  Sweeps — full, sharded, or incremental
 — run on tenant threads via ``run_in_executor``; the loop only parses,
-validates, routes, and serializes.  A tenant grinding through an
-expensive all-pairs sweep delays its own queue, never another tenant's
-health checks.
+validates, routes, and serializes small payloads.  The one large body,
+an all-pairs answer, leaves :meth:`Tenant.run_query` already encoded:
+the tenant keeps, per query, the body at the version it was built for
+and each answer pair's bytes, so a repeat at that version writes the
+stored body and a read after an update joins the previous pairs' bytes
+with the few new ones — no ``json.dumps`` of an answer anywhere (the
+source and pair modes return small dicts the loop encodes).  A tenant
+grinding through an expensive all-pairs sweep delays its own queue,
+never another tenant's health checks.
 
 Admission control is a bounded per-tenant pending counter: a request
 arriving while ``max_queue`` requests are queued or in flight is
@@ -57,7 +63,9 @@ The HTTP surface (all bodies JSON)::
 
     GET  /health                     liveness + per-tenant versions
     GET  /stats                      server + per-tenant counters
-    GET  /tenants/<name>/stats       one tenant's counters
+    GET  /tenants/<name>/stats       one tenant's counters; under "served",
+                                     "encoded_hits" counts all-pairs reads
+                                     answered with the stored body
     POST /tenants/<name>/query       {"query": E0[, "source": x[, "target": y]]}
     POST /tenants/<name>/update      {"ops": [{"op": "insert"|"delete",
                                                "symbol": v, "source": x,
@@ -147,6 +155,29 @@ class TenantConfig:
             raise ValueError(f"max_queue must be >= 1, got {self.max_queue}")
 
 
+class _NodeBytes(dict):
+    """node -> ``json.dumps(str(node))`` as bytes, encoded on first sight."""
+
+    def __missing__(self, node: Hashable) -> bytes:
+        encoded = self[node] = json.dumps(str(node)).encode()
+        return encoded
+
+
+class _PairBytes(dict):
+    """The pairs of one served answer -> their wire form ``["x","y"]``; a
+    pair it lacks is composed from the tenant's node table."""
+
+    __slots__ = ("nodes",)
+
+    def __init__(self, nodes: _NodeBytes, items: Iterable = ()):
+        super().__init__(items)
+        self.nodes = nodes
+
+    def __missing__(self, pair: Pair) -> bytes:
+        nodes = self.nodes
+        return b"[%b,%b]" % (nodes[pair[0]], nodes[pair[1]])
+
+
 class Tenant:
     """One tenant's serving state: store + session + its executor thread.
 
@@ -216,7 +247,12 @@ class Tenant:
             "rejected": 0,
             "errors": 0,
             "max_pending": 0,
+            "encoded_hits": 0,
         }
+        # query -> (version, all-pairs body as last served, its pairs'
+        # bytes); read and written on the tenant thread only.
+        self._wire: dict[str, tuple[int, bytes, _PairBytes]] = {}
+        self._node_bytes = _NodeBytes()
 
     # -- executed on the tenant's executor thread ----------------------
     def run_query(
@@ -225,16 +261,14 @@ class Tenant:
         mode: str,
         source: str | None,
         target: str | None,
-    ) -> dict:
+    ) -> dict | bytes:
         # The pinned version: writes share this thread, so the version
         # cannot move between this read and the evaluation below.
         version = self.store.version
-        result: dict = {"version": version, "query": query, "mode": mode}
         if mode == "all":
-            result["answers"] = [
-                [str(x), str(y)] for x, y in self.session.answer_sorted(query)
-            ]
-        elif mode == "single_source":
+            return self._all_pairs_body(query, version)
+        result: dict = {"version": version, "query": query, "mode": mode}
+        if mode == "single_source":
             result["source"] = source
             result["targets"] = sorted(
                 str(y) for y in self.session.answer_from(query, source)
@@ -244,6 +278,33 @@ class Tenant:
             result["target"] = target
             result["found"] = self.session.answer_pair(query, source, target)
         return result
+
+    def _all_pairs_body(self, query: str, version: int) -> bytes:
+        """The all-pairs response body at ``version``: byte for byte what
+        :func:`_encode_response` makes of ``{"answers": [[str(x), str(y)]
+        ...], "mode": "all", "query": query, "version": version}``.
+
+        A repeat at the stored version returns the stored body.  After
+        an update nearly every pair's bytes are ones the previous body
+        carried, so the answer is mapped through that entry's pairs and
+        only new pairs are composed; the new entry keeps the current
+        answer's pairs and nothing else, so it never outgrows it.
+        """
+        entry = self._wire.get(query)
+        if entry is not None and entry[0] == version:
+            self.served["encoded_hits"] += 1
+            return entry[1]
+        pairs = self.session.answer_sorted(query)
+        known = entry[2] if entry is not None else _PairBytes(self._node_bytes)
+        parts = list(map(known.__getitem__, pairs))
+        body = b'{"answers":[%b],"mode":"all","query":%b,"version":%d}' % (
+            b",".join(parts),
+            json.dumps(query).encode(),
+            version,
+        )
+        fresh = _PairBytes(self._node_bytes, zip(pairs, parts))
+        self._wire[query] = (version, body, fresh)
+        return body
 
     def run_update(
         self, changes: list[tuple[str, str, str, str]], seq: int
@@ -308,6 +369,8 @@ class Tenant:
         if self.durability is not None:
             self.durability.close()
         self.session.close()
+        self._wire.clear()
+        self._node_bytes.clear()
 
 
 def _parse_body(body: bytes) -> tuple[dict | None, str | None]:
@@ -322,8 +385,11 @@ def _parse_body(body: bytes) -> tuple[dict | None, str | None]:
     return payload, None
 
 
-def _encode_response(status: int, payload: dict, keep_alive: bool) -> bytes:
-    body = json.dumps(payload, separators=(",", ":"), sort_keys=True).encode()
+def _encode_response(
+    status: int, body: dict | bytes, keep_alive: bool
+) -> bytes:
+    if not isinstance(body, bytes):  # bytes: an all-pairs body, encoded
+        body = json.dumps(body, separators=(",", ":"), sort_keys=True).encode()
     connection = "keep-alive" if keep_alive else "close"
     head = (
         f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
@@ -581,7 +647,7 @@ class RPQServer:
     # ------------------------------------------------------------------
     async def _dispatch(
         self, method: str, path: str, body: bytes
-    ) -> tuple[int, dict]:
+    ) -> tuple[int, dict | bytes]:
         self.stats["requests"] += 1
         parts = [part for part in path.partition("?")[0].split("/") if part]
         if method == "GET" and parts == ["health"]:
@@ -628,8 +694,8 @@ class RPQServer:
         self,
         tenant: Tenant,
         kind: str,
-        make_op: Callable[[], Callable[[], dict]],
-    ) -> tuple[int, dict]:
+        make_op: Callable[[], Callable[[], dict | bytes]],
+    ) -> tuple[int, dict | bytes]:
         """Bounded admission, then executor confinement.
 
         The pending check and increment run with no ``await`` between
@@ -662,7 +728,9 @@ class RPQServer:
         tenant.served["queries" if kind == "query" else "updates"] += 1
         return 200, result
 
-    async def _query(self, tenant: Tenant, body: bytes) -> tuple[int, dict]:
+    async def _query(
+        self, tenant: Tenant, body: bytes
+    ) -> tuple[int, dict | bytes]:
         payload, error = _parse_body(body)
         if error is not None:
             return 400, {"error": error}

@@ -476,14 +476,18 @@ class QuerySession:
             )
 
     def close(self) -> None:
-        """Release evaluation resources (the shard evaluator's worker
-        pool, when parallelism is on).  Idempotent, and the session stays
-        usable: the next parallel request rebuilds what it needs."""
+        """Release evaluation state: the shard evaluator's worker pool
+        (when parallelism is on), every retained sweep state and the
+        answer memo; plans are kept.  Idempotent, and the session stays
+        usable: the next request per plan is one full recompute."""
         with self._lock:
             if self._evaluator is not None:
                 self._evaluator.close()
                 self._evaluator = None
                 self._evaluator_version = -1
+            self._delta_states.clear()
+            self._answers.clear()
+            self._answers_version = -1
 
     def __enter__(self) -> "QuerySession":
         return self

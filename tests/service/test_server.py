@@ -11,10 +11,13 @@ from __future__ import annotations
 import asyncio
 import http.client
 import json
+import random
 import urllib.error
 import urllib.request
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.rpq import Theory
 from repro.service import RPQServer, TenantConfig, run_in_thread
@@ -23,6 +26,7 @@ from repro.service.loadgen import (
     replay_oracle,
     run_loadgen,
 )
+from repro.service.server import Tenant
 
 
 def _tenant_config(**overrides) -> TenantConfig:
@@ -372,6 +376,206 @@ class TestVersionPinning:
                 [op for op in workload.traffic if op.kind == "update"]
             )
             assert server.tenants[workload.name].write_seq == expected
+
+
+def _dumped_all_pairs(tenant: Tenant, query: str) -> bytes:
+    """The all-pairs body the way the server built it before bodies were
+    joined from stored bytes: one ``json.dumps`` of the whole payload."""
+    payload = {
+        "answers": [[str(x), str(y)] for x, y in tenant.session.answer_sorted(query)],
+        "mode": "all",
+        "query": query,
+        "version": tenant.store.version,
+    }
+    return json.dumps(payload, separators=(",", ":"), sort_keys=True).encode()
+
+
+WIRE_QUERIES = ("a.b", "a", "(a+b).(a+b)", "a.b*")
+# Names that would break a hand-rolled encoder: JSON metacharacters, the
+# separator the body is joined with, non-ASCII, and ints (``str(1)`` and
+# ``"1"`` are two nodes with one encoding).
+_AWKWARD_NODES = ['"', "\\", "],[", '","', "é", "日本", "\n", "", "1", 1, 2, -7]
+_node_pools = st.lists(
+    st.one_of(st.sampled_from(_AWKWARD_NODES), st.text(max_size=6), st.integers()),
+    min_size=2,
+    max_size=7,
+    unique_by=lambda node: (type(node).__name__, node),
+)
+
+
+@st.composite
+def _wire_histories(draw):
+    nodes = draw(_node_pools)
+    edge = st.tuples(
+        st.sampled_from(("q1", "q2")), st.sampled_from(nodes), st.sampled_from(nodes)
+    )
+    seed = draw(st.lists(edge, max_size=8))
+    steps = draw(
+        st.lists(st.tuples(st.sampled_from(("insert", "delete")), edge), max_size=12)
+    )
+    return seed, steps
+
+
+class TestAllPairsBodyBytes:
+    """``run_query`` in mode ``all`` returns the response body itself,
+    joined from per-pair bytes the tenant keeps between versions."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_wire_histories())
+    def test_body_is_byte_identical_to_one_dumps_at_every_version(self, history):
+        seed, steps = history
+        extensions = {"q1": [], "q2": []}
+        for symbol, source, target in seed:
+            extensions[symbol].append((source, target))
+        tenant = Tenant("wire", _tenant_config(extensions=extensions))
+        try:
+            for step in [None, *steps]:
+                if step is not None:
+                    action, (symbol, source, target) = step
+                    tenant.run_update([(action, symbol, source, target)], 0)
+                for query in WIRE_QUERIES:
+                    body = tenant.run_query(query, "all", None, None)
+                    assert body == _dumped_all_pairs(tenant, query)
+                    assert len(tenant._wire[query][2]) == len(
+                        json.loads(body)["answers"]
+                    )
+        finally:
+            tenant.close()
+
+    def test_repeat_at_a_version_is_the_stored_object_and_skips_the_session(
+        self, monkeypatch
+    ):
+        tenant = Tenant("wire", _tenant_config())
+        try:
+            first = tenant.run_query("a.b", "all", None, None)
+            assert tenant.served["encoded_hits"] == 0
+            calls = []
+            answer_sorted = tenant.session.answer_sorted
+            monkeypatch.setattr(
+                tenant.session,
+                "answer_sorted",
+                lambda query: calls.append(query) or answer_sorted(query),
+            )
+            assert tenant.run_query("a.b", "all", None, None) is first
+            assert tenant.run_query("a.b", "all", None, None) is first
+            assert (calls, tenant.served["encoded_hits"]) == ([], 2)
+            tenant.run_update([("insert", "q2", "v", "z2")], 1)
+            moved = tenant.run_query("a.b", "all", None, None)
+            assert calls == ["a.b"] and tenant.served["encoded_hits"] == 2
+            assert json.loads(moved)["answers"] == [
+                ["u", "z"], ["u", "z2"], ["w", "z"], ["w", "z2"],
+            ]
+        finally:
+            tenant.close()
+
+    def test_entries_hold_exactly_the_current_answer_after_churn(self):
+        rng = random.Random(21)
+        nodes = [f"n{i}" for i in range(12)]
+        tenant = Tenant("wire", _tenant_config(extensions={"q1": [], "q2": []}))
+        try:
+            for _ in range(200):
+                before = tenant.store.version
+                while tenant.store.version == before:
+                    tenant.run_update(
+                        [(
+                            rng.choice(("insert", "insert", "delete")),
+                            rng.choice(("q1", "q2")),
+                            rng.choice(nodes),
+                            rng.choice(nodes),
+                        )],
+                        0,
+                    )
+                for query in WIRE_QUERIES:
+                    assert tenant.run_query(
+                        query, "all", None, None
+                    ) == _dumped_all_pairs(tenant, query)
+            assert set(tenant._wire) == set(WIRE_QUERIES)
+            for query, (version, _body, pair_bytes) in tenant._wire.items():
+                answer = tenant.session.answer_sorted(query)
+                assert version == tenant.store.version
+                assert set(pair_bytes) == set(answer) and len(answer) > 0
+            assert set(tenant._node_bytes) <= set(nodes)
+        finally:
+            tenant.close()
+
+    def test_empty_answer_and_non_ascii_query_text(self):
+        tenant = Tenant(
+            "wire",
+            _tenant_config(
+                views={"q1": "a", "q2": "'é'"},
+                theory=Theory.trivial({"a", "é"}),
+                extensions={"q1": [("u", "v")], "q2": []},
+            ),
+        )
+        try:
+            query = "a.'é'"
+            body = tenant.run_query(query, "all", None, None)
+            assert body == _dumped_all_pairs(tenant, query)
+            assert body.startswith(
+                b'{"answers":[],"mode":"all","query":"a.\'\\u00e9\'","version":'
+            )
+        finally:
+            tenant.close()
+
+    def test_close_drops_the_stored_bodies(self):
+        tenant = Tenant("wire", _tenant_config())
+        tenant.run_query("a.b", "all", None, None)
+        assert tenant._wire and tenant._node_bytes
+        tenant.close()
+        assert not tenant._wire and not tenant._node_bytes
+
+    def test_http_round_trip_per_mode_and_the_hit_counter(self, served):
+        server, url = served
+        version = server.tenants["alpha"].store.version
+        connection = http.client.HTTPConnection(
+            server.host, server.port, timeout=30
+        )
+        try:
+            expected = [
+                (
+                    {"query": "a.b"},
+                    {"answers": [["u", "z"], ["w", "z"]], "mode": "all",
+                     "query": "a.b", "version": version},
+                ),
+                (
+                    {"query": "a.b", "source": "u"},
+                    {"mode": "single_source", "query": "a.b", "source": "u",
+                     "targets": ["z"], "version": version},
+                ),
+                (
+                    {"query": "a.b", "source": "u", "target": "z"},
+                    {"found": True, "mode": "pair", "query": "a.b",
+                     "source": "u", "target": "z", "version": version},
+                ),
+                (
+                    {"query": "a.b"},
+                    {"answers": [["u", "z"], ["w", "z"]], "mode": "all",
+                     "query": "a.b", "version": version},
+                ),
+            ]
+            for payload, decoded in expected:
+                connection.request(
+                    "POST", "/tenants/alpha/query", body=json.dumps(payload)
+                )
+                response = connection.getresponse()
+                body = response.read()
+                assert response.status == 200
+                assert int(response.getheader("Content-Length")) == len(body)
+                # Same keys in the same (sorted) order as a dumped payload.
+                assert body == json.dumps(
+                    decoded, separators=(",", ":"), sort_keys=True
+                ).encode()
+        finally:
+            connection.close()
+        _status, one = _request(url, "GET", "/tenants/alpha/stats")
+        _status, every = _request(url, "GET", "/stats")
+        assert one["served"] == every["tenants"]["alpha"]["served"]
+        assert one["served"] == {
+            "queries": 4, "updates": 0, "rejected": 0, "errors": 0,
+            "max_pending": 1, "encoded_hits": 1,
+        }
+        # The all-pairs repeat never reached the session's memo.
+        assert one["session"]["answer_memo_hits"] == 0
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -335,6 +335,30 @@ class TestIncrementalMaintenance:
         assert len(session._delta_states) == 2
 
 
+class TestClose:
+    def test_close_releases_evaluation_state_and_the_session_stays_usable(
+        self, session, store
+    ):
+        queries = ("a.b", "a", "a*")
+        store.add("q2", "v", "z2")
+        before = {query: session.answer_sorted(query) for query in queries}
+        assert len(session._delta_states) == len(session._answers) == 3
+        recomputes = session.stats["full_recomputes"]
+        invalidations = session.stats["invalidations"]
+        session.close()
+        assert not session._delta_states and not session._answers
+        session.close()  # idempotent
+        assert {query: session.answer_sorted(query) for query in queries} == before
+        # One full sweep per plan rebuilt what close() dropped; the plans
+        # themselves were kept, and an emptied memo is not an invalidation.
+        assert session.stats["full_recomputes"] == recomputes + 3
+        assert session.stats["invalidations"] == invalidations
+        assert len(session._compiled_plans) == 3
+        store.add("q1", "u2", "v")
+        session.answer_sorted("a.b")
+        assert session.stats["full_recomputes"] == recomputes + 3
+
+
 class TestParallelism:
     """The ``parallelism`` knob: sharded answers, invalidation, fallback."""
 

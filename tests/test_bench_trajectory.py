@@ -7,6 +7,10 @@ commit it measured and what it claimed, and names workloads the suite
 still defines — a renamed workload would otherwise orphan its history
 silently.  Workload names are read from the ``name = "..."`` class
 attributes of ``benchmarks/suite/wl_*.py`` without importing the harness.
+A claim, where a file makes one, must be checkable against the file
+itself: a workload measured there and an end-to-end metric that
+``BENCHMARK.json`` declares, so a mistyped claim cannot enter the
+trajectory.
 """
 
 import ast
@@ -50,3 +54,8 @@ def test_bench_file_is_a_readable_trajectory_point(path):
     assert path.name == f"BENCH_{point['pr']}.json"
     assert point["workloads"], "no workload measured"
     assert set(point["workloads"]) <= _suite_workloads()
+    claim = point["claim"]
+    if claim is not None:
+        declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+        assert claim["workload"] in point["workloads"]
+        assert claim["metric"] in {m["name"] for m in declared["end_to_end"]}
