@@ -323,7 +323,11 @@ def minimize_dense(dense: DenseDFA) -> DenseDFA:
         for symbol_inverse, target in zip(inverse, delta[state]):
             symbol_inverse[target].append(state)
 
-    finals = {state for state in reachable if finals_mask >> state & 1}
+    # One pass over the mask's digits: a shift per state is a big-int copy each.
+    all_finals = {
+        state for state, bit in enumerate(bin(finals_mask)[:1:-1]) if bit == "1"
+    }
+    finals = all_finals.intersection(reachable)
     blocks = [block for block in (finals, set(reachable) - finals) if block]
     block_of = [0] * dense.num_states
     for state in blocks[-1]:
@@ -357,7 +361,7 @@ def minimize_dense(dense: DenseDFA) -> DenseDFA:
     min_finals = 0
     for block_id, block in enumerate(blocks):
         witness = next(iter(block))
-        if finals_mask >> witness & 1:
+        if witness in all_finals:
             min_finals |= 1 << block_id
         min_delta.append([block_of[target] for target in delta[witness]])
     return DenseDFA(dense.symbols, min_delta, block_of[dense.initial], min_finals)

@@ -38,8 +38,10 @@ from __future__ import annotations
 
 from typing import Hashable, Mapping
 
+import numpy as np
+
 from ..sweep import kernel as _kernel
-from ..sweep.bigint import _decode_answer_masks, _seed_all_pairs, _sweep_to_fixpoint
+from ..sweep.bigint import _seed_all_pairs, _sweep_to_fixpoint
 from ..sweep.table import (
     CompiledAutomaton,
     compile_automaton,
@@ -130,30 +132,25 @@ def evaluate_all_sorted(
     the same key — which is what lets differential harnesses compare
     whole lists byte for byte instead of set-compare only.
     """
-    node_at = db.node_at
-    return [
-        (node_at(source_id), node_at(target_id))
-        for source_id, target_id in _all_pairs_ids(db, compiled, backend)
-    ]
+    return db.pairs_at(*_all_pairs_ids(db, compiled, backend))
 
 
 def _all_pairs_ids(
     db: GraphDB,
     compiled: CompiledAutomaton,
     backend: str = "auto",
-) -> list[tuple[int, int]]:
-    """The all-pairs sweep, decoded to dense-id pairs sorted by
-    ``(source_id, target_id)`` — as ``kernel.decode_matrix`` produces them
-    on the numpy path, by one sort of the mask decode on the big-int one.
-    The *pair sets* are bit-identical by the kernel's exactness contract.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The all-pairs sweep, decoded to ``(sources, targets)`` dense-id
+    arrays in ``(source_id, target_id)`` order by ``kernel.decode_matrix``
+    on either backend (the big-int rows reach it through
+    ``kernel.decode_masks``).  The *pair sets* are bit-identical by the
+    kernel's exactness contract.
     """
-    if db.num_nodes == 0 or not compiled.initials:
-        return []
     if resolve_backend(db, backend) == "numpy":
         return _kernel.all_pairs_ids(db.to_csr(), compiled)
     reached, frontier, answer_masks = _seed_all_pairs(db, compiled)
     _sweep_to_fixpoint(db, compiled, reached, frontier, answer_masks)
-    return sorted(_decode_answer_masks(enumerate(answer_masks)))
+    return _kernel.decode_masks(enumerate(answer_masks), db.num_nodes)
 
 
 def evaluate_single_source(

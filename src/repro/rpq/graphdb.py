@@ -52,6 +52,7 @@ class GraphDB:
         self._mutations = 0
         self._csr_cache = None
         self._csr_cache_mutations = -1
+        self._node_array = None
         for node in nodes:
             self.add_node(node)
         for source, label, target in edges:
@@ -239,6 +240,27 @@ class GraphDB:
     def node_at(self, node_id: int) -> Hashable:
         """The node object with the given dense id."""
         return self._node_of[node_id]
+
+    def node_array(self):
+        """The interned nodes as an object array indexed by dense id (read
+        only), built lazily and rebuilt once nodes were interned since —
+        nodes are append-only, so a matching length means a current array."""
+        nodes = self._node_array
+        if nodes is None or len(nodes) != len(self._node_of):
+            import numpy as np
+
+            # ``fromiter`` fills element-wise: a tuple-valued node stays
+            # one scalar instead of becoming a second axis.
+            nodes = self._node_array = np.fromiter(
+                self._node_of, dtype=object, count=len(self._node_of)
+            )
+        return nodes
+
+    def pairs_at(self, sources, targets) -> list[tuple[Hashable, Hashable]]:
+        """``[(node_at(s), node_at(t)), ...]`` for two parallel dense-id
+        arrays: where a decoded answer's ids become node pairs."""
+        nodes = self.node_array()
+        return list(zip(nodes[sources].tolist(), nodes[targets].tolist()))
 
     def label_out_index(self, label: Hashable) -> Mapping[int, set[int]]:
         """The forward adjacency ``source_id -> target ids`` for one label."""

@@ -62,8 +62,9 @@ and only rebuild on a state too stale to replay
 
 **One decoded answer.**  Beside the masks the state retains the answers
 in one decoded form: the node pairs in ``(source_id, target_id)`` order
-(:func:`repro.rpq.engine.evaluate_all_sorted`'s), from the first patched
-read on with each pair's order key packed into an int64 next to it.  A
+(:func:`repro.rpq.engine.evaluate_all_sorted`'s) with each pair's order
+key packed into an int64 next to it, both cut from the decoder's id arrays
+(``kernel.decode_matrix``, ``GraphDB.pairs_at``).  A
 patch writes exactly the answer rows that change, so for its length
 ``answer_masks`` is a :class:`_RecordingRows`, which notes what a row held
 before its first write since the last read; the next read folds ``mask ^
@@ -481,17 +482,19 @@ class DeltaSweepState:
     # ------------------------------------------------------------------
     # Answers (one sorted decode, kept in order by the rows a patch wrote)
     # ------------------------------------------------------------------
-    def answer_ids(self) -> list[tuple[int, int]]:
-        """The current answers as dense-id pairs, sorted by ``(source,
-        target)``, decoded in full from the masks."""
-        return sorted(_engine._decode_answer_masks(enumerate(self.answer_masks)))
+    def answer_ids(self) -> tuple[np.ndarray, np.ndarray]:
+        """The current answers as ``(sources, targets)`` dense-id arrays in
+        ``(source, target)`` order, decoded in full from the masks."""
+        return _kernel.decode_masks(enumerate(self.answer_masks), self.num_nodes)
 
     def _fill(self) -> None:
         """Decode every answer to node pairs in ``(source_id, target_id)``
-        order; the packed order keys wait for the first fold that bisects."""
-        node_at = self.db.node_at
-        self._pairs = [(node_at(s), node_at(t)) for s, t in self.answer_ids()]
-        self._keys = None
+        order, each pair's packed order key beside it — both straight from
+        the decoder's id arrays, no per-pair Python step."""
+        sources, targets = self.answer_ids()
+        self._pairs = self.db.pairs_at(sources, targets)
+        self._keys = array("q")
+        self._keys.frombytes((sources << 32 | targets).tobytes())
 
     def _fold(self) -> list[Pair]:
         """The decoded answers, brought up to date: per answer row written
@@ -504,10 +507,7 @@ class DeltaSweepState:
         if sum((mask ^ old).bit_count() for _, mask, old in changed) > _REFILL_ABOVE:
             self._fill()
             return self._pairs
-        node_at, node_id, pairs = self.db.node_at, self.db.node_id, self._pairs
-        if changed and self._keys is None:  # never patched, never bisected
-            self._keys = array("q", [node_id(s) << 32 | node_id(t) for s, t in pairs])
-        keys = self._keys
+        node_at, pairs, keys = self.db.node_at, self._pairs, self._keys
         for target_id, mask, old in changed:
             target, bits = node_at(target_id), mask ^ old
             while bits:
@@ -650,12 +650,10 @@ class NumpyDeltaSweepState(DeltaSweepState):
         answers, *rows = store[:, :num_nodes]
         self._adopt(dict(zip(self.reached, rows)), answers)
 
-    def answer_ids(self) -> list[tuple[int, int]]:
-        """The current answers as dense-id pairs, sorted by ``(source,
-        target)`` — ``kernel.decode_matrix``'s order contract, relied on
-        by the retained decode without a second sort."""
-        sources, targets = _kernel.decode_matrix(self.answers_matrix, self.num_nodes)
-        return list(zip(sources.tolist(), targets.tolist()))
+    def answer_ids(self) -> tuple[np.ndarray, np.ndarray]:
+        """``kernel.decode_matrix`` of the answer matrix: its order contract
+        is the one the retained decode relies on without a second sort."""
+        return _kernel.decode_matrix(self.answers_matrix, self.num_nodes)
 
     # benchmarks/suite/tracing.py wraps these four by looking them up in
     # *each* class's own ``__dict__`` (tests/test_benchmark_contract.py),

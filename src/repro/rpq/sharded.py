@@ -45,6 +45,7 @@ from bisect import bisect_right
 from typing import Hashable, Iterable
 
 from ..sweep import window_masks
+from ..sweep.kernel import decode_masks
 from . import engine as _engine
 from .engine import CompiledAutomaton
 from .graphdb import GraphDB
@@ -233,15 +234,10 @@ class ParallelEvaluator:
         every shard count, worker count, and process — so two runs can
         be compared byte for byte.
         """
-        node_at = self.db.node_at
+        bounds = self._bounds
         pairs: list[Pair] = []
-        for lo, masks in zip(self._bounds, self._sweep_all(compiled)):
-            id_pairs = _engine._decode_answer_masks(masks.items(), lo)
-            id_pairs.sort()
-            pairs.extend(
-                (node_at(source_id), node_at(target_id))
-                for source_id, target_id in id_pairs
-            )
+        for lo, hi, masks in zip(bounds, bounds[1:], self._sweep_all(compiled)):
+            pairs += self.db.pairs_at(*decode_masks(masks.items(), hi - lo, lo))
         return pairs
 
     def evaluate_all(self, compiled: CompiledAutomaton) -> frozenset[Pair]:

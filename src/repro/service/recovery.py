@@ -147,12 +147,12 @@ def write_checkpoint(
     if os.path.isdir(final):
         return final
     graph = store.graph
-    nodes = [graph.node_at(node_id) for node_id in range(graph.num_nodes)]
+    nodes = graph.node_array().tolist()
     tmp = f"{final}.{os.getpid()}.{next(_TMP_SERIAL)}.tmp"
     os.makedirs(tmp)
     try:
         snapshot_path = os.path.join(tmp, "graph.csr")
-        CSRSnapshot.from_graph(graph).save(snapshot_path)
+        graph.to_csr().save(snapshot_path)
         meta = {
             "format": CHECKPOINT_FORMAT,
             "version": store.version,

@@ -4,8 +4,6 @@ difference and emptiness are single C-level operations."""
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from .table import CompiledAutomaton
 
 
@@ -124,17 +122,3 @@ def _sweep_to_fixpoint(
         frontier = {
             state: bucket for state, bucket in next_frontier.items() if bucket
         }
-
-
-def _decode_answer_masks(
-    target_masks: Iterable[tuple[int, int]], lo: int = 0
-) -> list[tuple[int, int]]:
-    """Unpack ``(target_id, source bitmask)`` items into dense-id pairs
-    (unordered); bit ``j`` of a mask is source ``lo + j``."""
-    id_pairs: list[tuple[int, int]] = []
-    for target_id, mask in target_masks:
-        while mask:
-            low_bit = mask & -mask
-            id_pairs.append((low_bit.bit_length() - 1 + lo, target_id))
-            mask ^= low_bit
-    return id_pairs

@@ -39,6 +39,13 @@ def regex_strategy(alphabet: tuple[str, ...] = ALPHABET, max_leaves: int = 8):
     return st.recursive(leaves, extend, max_leaves=max_leaves)
 
 
+def id_pairs(arrays) -> list[tuple[int, int]]:
+    """A decoder's ``(sources, targets)`` dense-id arrays as the list of int
+    pairs the differential asserts compare — list equality, order included."""
+    sources, targets = arrays
+    return list(zip(sources.tolist(), targets.tolist()))
+
+
 def words_up_to(alphabet, max_length):
     """All words over ``alphabet`` of length at most ``max_length``."""
     for length in range(max_length + 1):

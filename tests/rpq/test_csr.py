@@ -21,6 +21,8 @@ from repro.rpq.csr import CSRSnapshot, blocks_for
 from repro.rpq.graphdb import GraphDB, random_graph
 from repro.rpq import kernel as kernel_mod
 
+from ..conftest import id_pairs
+
 
 def compiled_for(db, expr, labels=("a", "b", "c")):
     nfa = to_nfa(parse(expr))
@@ -128,9 +130,9 @@ class TestSaveLoad:
         loaded = CSRSnapshot.load(path, mmap=True)
         for expr in ["a", "a.b", "(a+b)*", "a.(b+c)*.a"]:
             compiled = compiled_for(db, expr)
-            assert kernel_mod.all_pairs_ids(
-                loaded, compiled
-            ) == kernel_mod.all_pairs_ids(snapshot, compiled)
+            assert id_pairs(kernel_mod.all_pairs_ids(loaded, compiled)) == id_pairs(
+                kernel_mod.all_pairs_ids(snapshot, compiled)
+            )
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bogus.csr"

@@ -19,6 +19,7 @@ the big-int sweep's bits, not to its own.
 
 import random
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -420,6 +421,26 @@ class TestRetainedDecode:
         assert got == engine_mod.evaluate_all_sorted(db, compiled)
         assert all((f"fresh{i}", f"fresh{i}") in got for i in range(10))
 
+    def test_the_order_keys_are_cut_from_the_decoders_arrays(self):
+        """A build (and a refill) leaves ``source_id << 32 | target_id``
+        beside every pair, so the first patched read asks ``node_id`` for
+        the patched edge's endpoints only, never once per retained pair."""
+        db = GraphDB([(f"n{i}", "a", f"n{i + 1}") for i in range(40)])
+        compiled = compiled_for("a.a*", labels=("a",))
+        state = self.state_class(db, compiled)
+        assert state._keys.typecode == "q"
+        assert list(state._keys) == [
+            db.node_id(x) << 32 | db.node_id(y) for x, y in state.answers_sorted()
+        ]
+        db.add_edge("n40", "a", "n41")
+        lookups = []
+        with mock.patch.object(
+            db, "node_id", side_effect=lambda node: lookups.append(node) or db._id_of[node]
+        ):
+            state.apply_insertions([("n40", "a", "n41")])
+            assert state.answers_sorted() == engine_mod.evaluate_all_sorted(db, compiled)
+        assert lookups == ["n40", "n41"]
+
     def test_no_second_copy_of_the_answer_masks_is_retained(self):
         db = GraphDB([("x", "a", "y")])
         state = self.state_class(db, compiled_for("a.b"))
@@ -437,7 +458,7 @@ class TestRetainedDecode:
         one drops half (one list shift per pair would take seconds, so the
         decode is refilled).  Either read equals a fresh build's and takes
         at most 3x as long — measured 0.3x (int rows) to 0.8x (blocks, the
-        folded cut, which also packs the order keys), so the wall-clock
+        folded cut), so the wall-clock
         ratio has about 4x of slack on a loaded runner."""
         db = GraphDB([(f"n{i}", "a", f"n{i + 1}") for i in range(699)])
         compiled = compiled_for("a.a*", labels=("a",))

@@ -38,6 +38,8 @@ from repro.rpq.engine import NUMPY_BACKEND_MIN_EDGES, resolve_backend
 from repro.rpq.graphdb import random_graph
 from repro.rpq.incremental import DeltaSweepState, NumpyDeltaSweepState
 
+from ..conftest import id_pairs
+
 
 def compiled_for(db, query):
     rpq = query if isinstance(query, RPQ) else RPQ(query)
@@ -119,7 +121,7 @@ class TestBoundaryGeometry:
         db = GraphDB()
         compiled = compiled_for(GraphDB([("x", "a", "y")]), "a*")
         assert engine_mod.evaluate_all_sorted(db, compiled, backend="numpy") == []
-        assert kernel_mod.all_pairs_ids(db.to_csr(), compiled) == []
+        assert id_pairs(kernel_mod.all_pairs_ids(db.to_csr(), compiled)) == []
 
     def test_single_isolated_node(self):
         db = GraphDB(nodes=["lonely"])
@@ -533,12 +535,12 @@ def _assert_kernel_is_bigint(db, compiled, narrowed_to):
     forced round forms and the default rule; ``narrowed_to`` is the live
     source count the sweep must have been narrowed to, ``None`` for the
     full-width layout."""
-    expected = engine_mod._all_pairs_ids(db, compiled, "bigint")
+    expected = id_pairs(engine_mod._all_pairs_ids(db, compiled, "bigint"))
     snapshot = db.to_csr()
     for decide in (_always_pairs, _always_blocks, kernel_mod._pair_round_pays):
         patched, handed = _counting_sweeps()
         with patched, mock.patch.object(kernel_mod, "_pair_round_pays", decide):
-            assert kernel_mod.all_pairs_ids(snapshot, compiled) == expected
+            assert id_pairs(kernel_mod.all_pairs_ids(snapshot, compiled)) == expected
         assert len(handed) == 1  # the span contract: one sweep per call
         if narrowed_to is None:
             assert handed[0] is None
@@ -609,9 +611,9 @@ class TestNarrowColumns:
     def test_random_fringes(self, live, expr, seed):
         db = _fringe_graph(sorted(live), seed)
         compiled = compiled_for(db, expr)
-        assert kernel_mod.all_pairs_ids(
-            db.to_csr(), compiled
-        ) == engine_mod._all_pairs_ids(db, compiled, "bigint")
+        assert id_pairs(kernel_mod.all_pairs_ids(db.to_csr(), compiled)) == id_pairs(
+            engine_mod._all_pairs_ids(db, compiled, "bigint")
+        )
 
     def test_narrowed_sweep_peaks_below_the_full_width_one(self):
         """Memory guard: 16 live sources of 1 000 nodes sweep ``(n, 1)``

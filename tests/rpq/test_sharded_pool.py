@@ -25,7 +25,10 @@ from repro.rpq import (
     make_queries,
 )
 from repro.rpq import engine as engine_mod
+from repro.rpq.kernel import decode_masks
 from repro.rpq.sharded import _sweep_window, shard_bounds
+
+from ..conftest import id_pairs
 
 
 def compiled_for(db, query, labels=None):
@@ -78,16 +81,16 @@ def test_windows_conserve_the_answer(
     bounds = shard_bounds(db.num_nodes, num_shards)
     assert bounds[0] == 0 and bounds[-1] == db.num_nodes
     snapshot = db.to_csr()
-    id_pairs = []
+    concatenated_ids = []
     for lo, hi in zip(bounds, bounds[1:]):
         assert 0 <= hi - lo <= -(-db.num_nodes // num_shards)
         masks = _sweep_window(snapshot, compiled, lo, hi, backend)
         assert all(0 < mask < 1 << (hi - lo) for mask in masks.values())
-        window_pairs = sorted(engine_mod._decode_answer_masks(masks.items(), lo))
+        window_pairs = id_pairs(decode_masks(masks.items(), hi - lo, lo))
         assert all(lo <= source_id < hi for source_id, _ in window_pairs)
-        id_pairs += window_pairs
+        concatenated_ids += window_pairs
     node_at = db.node_at
-    concatenated = [(node_at(x), node_at(y)) for x, y in id_pairs]
+    concatenated = [(node_at(x), node_at(y)) for x, y in concatenated_ids]
     expected = engine_mod.evaluate_all_sorted(db, compiled, backend="bigint")
     assert answer_bytes(concatenated) == answer_bytes(expected)
     assert concatenated == expected
@@ -100,7 +103,7 @@ def test_single_window_is_the_monolithic_sweep():
     compiled = compiled_for(db, make_queries("scale_free", seed=3, count=1)[0])
     assert shard_bounds(db.num_nodes, 1) == [0, db.num_nodes]
     masks = _sweep_window(db.to_csr(), compiled, 0, db.num_nodes, "bigint")
-    assert sorted(engine_mod._decode_answer_masks(masks.items())) == sorted(
+    assert id_pairs(decode_masks(masks.items(), db.num_nodes)) == id_pairs(
         engine_mod._all_pairs_ids(db, compiled, "bigint")
     )
 

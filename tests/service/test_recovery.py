@@ -92,6 +92,21 @@ class TestCheckpoint:
             symbol: frozenset(pairs) for symbol, pairs in extensions.items()
         } == {symbol: store.extension(symbol) for symbol in store.symbols}
 
+    def test_checkpoint_saves_the_graphs_cached_snapshot(self, tmp_path, monkeypatch):
+        """``graph.to_csr()``, not a second ``from_graph``: same bytes as a
+        fresh freeze, and no freeze at all while the cache is current."""
+        from repro.rpq.csr import CSRSnapshot
+
+        store = _populated_store()
+        CSRSnapshot.from_graph(store.graph).save(tmp_path / "fresh.csr")
+        store.graph.to_csr()
+        monkeypatch.setattr(
+            CSRSnapshot, "from_graph", lambda graph: pytest.fail("froze the graph again")
+        )
+        path = write_checkpoint(store, tmp_path / "ckpt")
+        with open(os.path.join(path, "graph.csr"), "rb") as saved:
+            assert saved.read() == (tmp_path / "fresh.csr").read_bytes()
+
     def test_same_version_checkpoint_is_idempotent(self, tmp_path):
         store = _populated_store()
         assert write_checkpoint(store, tmp_path) == write_checkpoint(
