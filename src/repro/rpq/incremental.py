@@ -493,8 +493,7 @@ class DeltaSweepState:
         the decoder's id arrays, no per-pair Python step."""
         sources, targets = self.answer_ids()
         self._pairs = self.db.pairs_at(sources, targets)
-        self._keys = array("q")
-        self._keys.frombytes((sources << 32 | targets).tobytes())
+        self._keys = array("q", (sources << 32 | targets).tobytes())
 
     def _fold(self) -> list[Pair]:
         """The decoded answers, brought up to date: per answer row written
