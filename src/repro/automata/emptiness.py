@@ -7,11 +7,12 @@ by the paper as [RS59, Jon75]); breadth-first search additionally yields a
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Hashable, Iterator, Sequence, Union
+from typing import Hashable, Iterator, Sequence
 
+from .containment import Automaton, _spell, is_contained
 from .dfa import DFA
 from .nfa import EPS, NFA
+from .thompson import universal_nfa
 
 __all__ = [
     "is_empty",
@@ -20,8 +21,6 @@ __all__ = [
     "is_universal",
     "accepts",
 ]
-
-Automaton = Union[NFA, DFA]
 
 
 def _as_nfa(automaton: Automaton) -> NFA:
@@ -41,32 +40,24 @@ def is_empty(automaton: Automaton) -> bool:
 def shortest_word(automaton: Automaton) -> tuple[Hashable, ...] | None:
     """A shortest accepted word, or ``None`` if the language is empty.
 
-    Ties between equal-length words are broken by the (arbitrary but fixed)
+    Breadth-first search over states, epsilon moves at no cost.  Ties
+    between equal-length words are broken by the (arbitrary but fixed)
     iteration order of the transition tables.
     """
     nfa = _as_nfa(automaton)
-    start = nfa.epsilon_closure(nfa.initials)
-    if start & nfa.finals:
-        return ()
-    seen: set[frozenset[int]] = {start}
-    queue: deque[tuple[frozenset[int], tuple[Hashable, ...]]] = deque([(start, ())])
-    while queue:
-        subset, word = queue.popleft()
-        moves: dict[Hashable, set[int]] = {}
-        for state in subset:
-            for label, dsts in nfa.transitions_from(state).items():
-                if label is EPS:
-                    continue
-                moves.setdefault(label, set()).update(dsts)
-        for label, dsts in moves.items():
-            closed = nfa.epsilon_closure(dsts)
-            if not closed or closed in seen:
+    # state -> BFS link (predecessor's link, label); the keys stay epsilon-closed
+    links: dict[int, tuple] = dict.fromkeys(nfa.epsilon_closure(nfa.initials), ())
+    queue = list(links)
+    for state in queue:
+        if state in nfa.finals:
+            return _spell(links[state])
+        for label, dsts in nfa.transitions_from(state).items():
+            if label is EPS:
                 continue
-            extended = word + (label,)
-            if closed & nfa.finals:
-                return extended
-            seen.add(closed)
-            queue.append((closed, extended))
+            for nxt in nfa.epsilon_closure(dsts - links.keys()):
+                if nxt not in links:
+                    links[nxt] = (links[state], label)
+                    queue.append(nxt)
     return None
 
 
@@ -112,26 +103,8 @@ def enumerate_words(
 def is_universal(automaton: Automaton, alphabet: frozenset | None = None) -> bool:
     """Does the automaton accept all of ``Sigma*``?
 
-    Decided by checking the complement for emptiness with a lazy subset
-    construction (no full determinization).
+    ``Sigma* subseteq L(automaton)``, decided by the on-the-fly containment
+    search (no full determinization).
     """
-    nfa = _as_nfa(automaton).without_epsilon()
-    sigma = alphabet if alphabet is not None else nfa.alphabet
-    start = frozenset(nfa.initials)
-    if not start & nfa.finals:
-        return False
-    seen: set[frozenset[int]] = {start}
-    queue: deque[frozenset[int]] = deque([start])
-    while queue:
-        subset = queue.popleft()
-        for symbol in sigma:
-            moved: set[int] = set()
-            for state in subset:
-                moved.update(nfa.successors(state, symbol))
-            target = frozenset(moved)
-            if not target & nfa.finals:
-                return False
-            if target not in seen:
-                seen.add(target)
-                queue.append(target)
-    return True
+    sigma = alphabet if alphabet is not None else automaton.alphabet
+    return is_contained(universal_nfa(sigma), automaton)

@@ -408,12 +408,10 @@ def _cmd_rewrite(args: argparse.Namespace) -> int:
     result = maximal_rewriting(queries[0], views)
     print("rewriting:", to_string(result.regex()))
     print("empty:", result.is_empty())
-    exact = result.is_exact()
-    print("exact:", exact)
-    if not exact:
-        witness = exactness_counterexample(result)
-        if witness is not None:
-            print("missed query word:", ".".join(map(str, witness)) or "(empty)")
+    witness = exactness_counterexample(result)
+    print("exact:", witness is None)
+    if witness is not None:
+        print("missed query word:", ".".join(map(str, witness)) or "(empty)")
         if args.partial:
             solutions = find_partial_rewritings(queries[0], views)
             if solutions:

@@ -30,12 +30,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Mapping, Sequence
 
-from ..automata.containment import containment_counterexample, is_contained
 from ..automata.emptiness import enumerate_words, is_empty, shortest_word
 from ..automata.nfa import NFA
 from ..automata.state_elim import to_regex
 from ..regex.ast import Regex
 from .alphabet import LanguageSpec, ViewSet
+from .exactness import exactness_counterexample
 from .expansion import expansion_nfa
 from .rewriter import _as_view_set, build_ad, naive_build_ad, sigma_e_automaton
 
@@ -59,6 +59,7 @@ class ContainingRewriting:
     ad: "object"  # DFA; typed loosely to avoid an import cycle in docs
     _regex: Regex | None = field(default=None, repr=False)
     _expansion: NFA | None = field(default=None, repr=False)
+    _missed: tuple[Hashable, ...] | None = field(default=..., repr=False)
 
     def accepts(self, word: Sequence[Hashable]) -> bool:
         """Does ``word`` have at least one expansion inside ``L(E0)``?"""
@@ -90,11 +91,11 @@ class ContainingRewriting:
         When false, *no* containing rewriting exists: some query word is
         not a factor of any expansion the views can produce.
         """
-        return is_contained(self.ad, self.expansion())
+        return exactness_counterexample(self) is None
 
     def coverage_counterexample(self) -> tuple[Hashable, ...] | None:
         """A query word no view combination can produce, or ``None``."""
-        return containment_counterexample(self.ad, self.expansion())
+        return exactness_counterexample(self)
 
 
 def existential_rewriting(

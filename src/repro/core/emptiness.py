@@ -6,16 +6,18 @@ accepts a word iff the lazy subset construction of ``A'`` reaches a subset
 containing no ``A'``-final state (equivalently, a subset of ``Ad``-final
 states — including the empty subset, which arises when a view language is
 empty and therefore expands to the empty language, trivially contained in
-``L(E0)``).  Searching the subset space with early exit gives the paper's
-EXPSPACE upper bound.
+``L(E0)``).  That is a counterexample to ``Sigma_E* subseteq L(A')``: the
+on-the-fly containment search with early exit gives the paper's EXPSPACE
+upper bound, and because its left alphabet is the view symbols the empty
+subset is reached like any other.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Hashable, Iterable, Mapping
 
-from ..automata.nfa import NFA
+from ..automata.containment import containment_counterexample
+from ..automata.thompson import universal_nfa
 from .alphabet import LanguageSpec, ViewSet
 from .rewriter import _as_view_set, build_a_prime, build_ad
 
@@ -36,37 +38,10 @@ def nonempty_rewriting_witness(
 ) -> tuple[Hashable, ...] | None:
     """A shortest Sigma_E word of the maximal rewriting, or ``None``.
 
-    Explores the determinization of ``A'`` lazily, stopping at the first
-    subset free of ``A'``-final states (such a subset is an accepting state
-    of the complement, i.e. of the rewriting).
+    The rewriting is the complement of ``A'``, so this is a shortest
+    counterexample to ``Sigma_E* subseteq L(A')``.
     """
     views = _as_view_set(views)
     ad = build_ad(e0, views)
     a_prime = build_a_prime(ad, views)
-    return _first_rejecting_subset_word(a_prime, views.symbols)
-
-
-def _first_rejecting_subset_word(
-    a_prime: NFA, sigma_e: tuple[Hashable, ...]
-) -> tuple[Hashable, ...] | None:
-    """BFS over lazy subsets of ``A'`` for one disjoint from its finals."""
-    start = frozenset(a_prime.initials)
-    if not start & a_prime.finals:
-        return ()
-    seen: set[frozenset[int]] = {start}
-    queue: deque[tuple[frozenset[int], tuple[Hashable, ...]]] = deque([(start, ())])
-    while queue:
-        subset, word = queue.popleft()
-        for symbol in sigma_e:
-            moved: set[int] = set()
-            for state in subset:
-                moved.update(a_prime.successors(state, symbol))
-            target = frozenset(moved)
-            if target in seen:
-                continue
-            extended = word + (symbol,)
-            if not target & a_prime.finals:
-                return extended
-            seen.add(target)
-            queue.append((target, extended))
-    return None
+    return containment_counterexample(universal_nfa(views.symbols), a_prime)

@@ -52,6 +52,8 @@ class RewritingResult:
     _a_prime: NFA | None = field(default=None, repr=False)
     _regex: Regex | None = field(default=None, repr=False)
     _expansion: NFA | None = field(default=None, repr=False)
+    # ``...`` until searched, then exactness_counterexample's answer
+    _missed: tuple[Hashable, ...] | None = field(default=..., repr=False)
 
     @property
     def a_prime(self) -> NFA:

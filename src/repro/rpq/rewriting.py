@@ -38,12 +38,12 @@ from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from ..automata.compiled import relation_nfa
-from ..automata.containment import containment_counterexample, is_contained
 from ..automata.dfa import DFA
 from ..automata.emptiness import enumerate_words, is_empty, shortest_word
 from ..automata.nfa import NFA
 from ..automata.state_elim import to_regex
 from ..core.alphabet import ViewSet
+from ..core.exactness import exactness_counterexample
 from ..core.expansion import expansion_nfa
 from ..core.rewriter import rewrite_nfa
 from ..regex.ast import Regex
@@ -78,6 +78,8 @@ class RPQRewritingResult:
     _a_prime: NFA | None = field(default=None, repr=False)
     _regex: Regex | None = field(default=None, repr=False)
     _grounded_views: ViewSet | None = field(default=None, repr=False)
+    _expansion: NFA | None = field(default=None, repr=False)
+    _missed: tuple[Hashable, ...] | None = field(default=..., repr=False)
 
     @property
     def a_prime(self) -> NFA:
@@ -121,8 +123,10 @@ class RPQRewritingResult:
         return self._grounded_views
 
     def expansion(self) -> NFA:
-        """Automaton for ``match(exp_F(L(R)))`` — the D-level expansion."""
-        return expansion_nfa(self.automaton, self.grounded_views())
+        """Automaton for ``match(exp_F(L(R)))`` — the D-level expansion (cached)."""
+        if self._expansion is None:
+            self._expansion = expansion_nfa(self.automaton, self.grounded_views())
+        return self._expansion
 
     def is_exact(self) -> bool:
         """Is ``ans(exp_F(L(R)), DB) = ans(L(Q0), DB)`` for every DB?
@@ -130,11 +134,11 @@ class RPQRewritingResult:
         By Theorem 4.1 this is equivalent to the D-language equality
         ``match(exp_F(L(R))) = match(L(Q0))``, i.e. ``L(Ad) subseteq L(B)``.
         """
-        return is_contained(self.ad, self.expansion())
+        return exactness_counterexample(self) is None
 
     def exactness_counterexample(self) -> tuple[Hashable, ...] | None:
         """A D-word matched by ``Q0`` but not by the rewriting's expansion."""
-        return containment_counterexample(self.ad, self.expansion())
+        return exactness_counterexample(self)
 
     def answer(
         self, db: GraphDB, extensions: Mapping[Hashable, Iterable[Pair]] | None = None

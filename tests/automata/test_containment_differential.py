@@ -1,0 +1,135 @@
+"""The one containment search against the explicit route it replaced.
+
+``containment_counterexample`` (lazy views, per-state left side, antichain)
+must give the verdict *and* a witness of the length that determinize ->
+``difference_dfa`` -> ``shortest_word`` gives, on every shape of input the
+callers hand it; plus the two things the explicit route cannot do — prune by
+subsumption and leave most of a large automaton untouched.
+"""
+
+import time
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.automata.containment import containment_counterexample, is_contained
+from repro.automata.determinize import determinize
+from repro.automata.emptiness import shortest_word
+from repro.automata.nfa import NFA
+from repro.automata.operations import difference_dfa
+from repro.automata.thompson import to_nfa
+from repro.core import ViewSet, maximal_rewriting, nonempty_rewriting_witness
+from repro.core.expansion import word_expansion_nfa
+from repro.reductions.tiling import TilingSystem
+from repro.reductions.twoexpspace import tilde, twoexpspace_reduction
+from repro.regex.parser import parse
+
+from ..conftest import regex_strategy
+
+
+def explicit_counterexample(left: NFA, right: NFA):
+    """The reference: both sides determinized, the difference materialized."""
+    return shortest_word(difference_dfa(determinize(left), determinize(right)))
+
+
+# Which side (if any) is handed over as a DFA, and whether the right side is
+# built over {a, b} only so the left alphabet is not contained in it.
+shapes = st.tuples(st.sampled_from(["nfa", "left_dfa", "right_dfa"]), st.booleans())
+
+
+@settings(max_examples=2000, deadline=None)
+@given(
+    left=regex_strategy(max_leaves=6),
+    right=regex_strategy(max_leaves=6),
+    narrow=regex_strategy(alphabet=("a", "b"), max_leaves=6),
+    shape=shapes,
+)
+def test_search_agrees_with_explicit_route(left, right, narrow, shape):
+    """Thompson NFAs keep their epsilon moves; the leaves include the empty
+    and the epsilon-only language."""
+    dfa_side, narrow_right = shape
+    l_nfa, r_nfa = to_nfa(left), to_nfa(narrow if narrow_right else right)
+    expected = explicit_counterexample(l_nfa, r_nfa)
+    witness = containment_counterexample(
+        determinize(l_nfa) if dfa_side == "left_dfa" else l_nfa,
+        determinize(r_nfa) if dfa_side == "right_dfa" else r_nfa,
+    )
+    if expected is None:
+        assert witness is None
+    else:
+        assert witness is not None and len(witness) == len(expected)
+        assert l_nfa.accepts(witness) and not r_nfa.accepts(witness)
+
+
+def test_antichain_prunes_subsumed_subsets():
+    """Every subset the right side reaches contains the ``(a+b)*`` branch's
+    accepting state set reached first, so the antichain keeps a handful of
+    pairs where an exact visited set walks all 2^19 of them."""
+    left = to_nfa(parse("(a+b)*"))
+    right = to_nfa(parse("(a+b)* + (a+b)*.a" + ".(a+b)" * 18))
+    started = time.perf_counter()
+    assert is_contained(left, right)
+    assert time.perf_counter() - started < 0.1
+
+
+@pytest.fixture(scope="module")
+def thm35_reduction():
+    system = TilingSystem(
+        tiles=("s", "f", "l", "r"),
+        horizontal=frozenset({("s", "r"), ("r", "l"), ("l", "r"), ("r", "f")}),
+        vertical=frozenset({("s", "l"), ("l", "l"), ("r", "r"), ("r", "f")}),
+        t_start="s",
+        t_final="f",
+        t_left="l",
+        t_right="r",
+    )
+    return twoexpspace_reduction(system, 1)
+
+
+def test_search_closes_only_the_states_it_reaches(thm35_reduction, monkeypatch):
+    """Laziness contract: containment of a 12-state word expansion in the
+    157 846-state ``E0`` of Theorem 3.5 epsilon-closes under 1 % of it."""
+    e0 = to_nfa(thm35_reduction.e0)
+    closed = []
+    closure = NFA.epsilon_closure
+
+    def counting(self, states):
+        if self is e0:
+            closed.append(states)
+        return closure(self, states)
+
+    monkeypatch.setattr(NFA, "epsilon_closure", counting)
+    word = (tilde("l"), tilde("s"))
+    assert is_contained(word_expansion_nfa(word, thm35_reduction.views), e0)
+    assert 0 < len(closed) < e0.num_states // 100
+
+
+@pytest.mark.parametrize(
+    "e0, views",
+    [
+        ("a.(b.a+c)*", {"e1": "a", "e2": "a.c*.b", "e3": "c"}),
+        ("a", {"e1": "b"}),
+        ("a*", {"e1": "a.a"}),
+        ("a*", {"e1": "b"}),
+        ("a.b", {"e1": "b.a"}),
+        ("(a+b)*", {"e1": "a"}),
+        ("a.b.c", {"e1": "a.b", "e2": "c"}),
+        ("a.b.c", {"e1": "a", "e2": "b.b", "e3": "c"}),
+        ("a.(b.a)*.b", {"e1": "a.b", "e2": "b.a"}),
+        ("a.(a.a)*", {"e1": "a.a"}),
+        ("a", {"e1": "%empty"}),  # vacuous: the dead subset accepts
+    ],
+)
+def test_thm33_witness_is_a_shortest_word_of_the_rewriting(e0, views):
+    """``Sigma_E* subseteq L(A')`` searched on the fly against the rewriting
+    built in full: same verdict, same witness length, witness accepted."""
+    view_set = ViewSet(views)
+    rewriting = maximal_rewriting(e0, view_set)
+    expected = rewriting.shortest_word()
+    witness = nonempty_rewriting_witness(e0, view_set)
+    if expected is None:
+        assert witness is None
+    else:
+        assert witness is not None and len(witness) == len(expected)
+        assert rewriting.accepts(witness)

@@ -1,5 +1,7 @@
 """Emptiness, shortest words, bounded enumeration, universality."""
 
+import time
+
 from repro.automata.determinize import determinize
 from repro.automata.emptiness import (
     enumerate_words,
@@ -7,6 +9,7 @@ from repro.automata.emptiness import (
     is_universal,
     shortest_word,
 )
+from repro.automata.nfa import NFA
 from repro.automata.thompson import to_nfa
 from repro.regex.parser import parse
 
@@ -46,6 +49,15 @@ class TestShortestWord:
 
     def test_long_mandatory_prefix(self):
         assert shortest_word(nfa_of("a.a.a.a.b")) == tuple("aaaab")
+
+    def test_emptiness_is_reachability_not_a_subset_walk(self):
+        # Without finals no subset ever accepts: a search over subsets
+        # visits all 2^17 of them, one over states visits each state once.
+        nfa = nfa_of("(a+b)*.a" + ".(a+b)" * 16)
+        dead = NFA(nfa.states, nfa.alphabet, nfa._delta, nfa.initials, ())
+        started = time.perf_counter()
+        assert shortest_word(dead) is None and is_empty(dead)
+        assert time.perf_counter() - started < 0.5
 
 
 class TestEnumeration:

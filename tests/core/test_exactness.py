@@ -8,8 +8,12 @@ independently.
 import pytest
 from hypothesis import given, settings
 
-from repro.automata.containment import are_equivalent, is_contained
-from repro.core import ViewSet, maximal_rewriting
+from repro.automata.containment import (
+    are_equivalent,
+    containment_counterexample,
+    is_contained,
+)
+from repro.core import ViewSet, existential_rewriting, maximal_rewriting
 from repro.core.exactness import METHODS, exactness_counterexample, is_exact
 from repro.core.expansion import expansion_nfa
 
@@ -65,6 +69,32 @@ class TestInexactInstances:
         assert witness is not None
         assert result.ad.accepts(witness)  # in L(E0)
         assert not result.expansion().accepts(witness)  # not expressible
+
+
+class TestSearchedOnce:
+    """The witness is kept on the result: ``None`` = exact, found at most once."""
+
+    @pytest.mark.parametrize("build", [maximal_rewriting, existential_rewriting])
+    @pytest.mark.parametrize("e0, views", [EXACT_INSTANCES[0], INEXACT_INSTANCES[0]])
+    def test_second_query_performs_no_search(self, build, e0, views, monkeypatch):
+        from repro.core import exactness
+
+        searches = []
+
+        def counting(left, right):
+            searches.append((left, right))
+            return containment_counterexample(left, right)
+
+        monkeypatch.setattr(exactness, "containment_counterexample", counting)
+        result = build(e0, ViewSet(views))
+        witness = exactness_counterexample(result)
+        assert exactness_counterexample(result) == witness
+        if build is maximal_rewriting:
+            assert result.is_exact() == (witness is None)
+        else:
+            assert result.covers() == (witness is None)
+            assert result.coverage_counterexample() == witness
+        assert len(searches) == 1
 
 
 class TestMethodsAgree:

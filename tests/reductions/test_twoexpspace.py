@@ -71,7 +71,6 @@ class TestShape:
             twoexpspace_reduction(reduction.system, 0)
 
 
-@pytest.mark.slow
 class TestExpansionFormClaims:
     """The paper's "exp(w) subseteq L(E0^X) precisely when w is of form ..."
     statements, checked word-by-word for the tractable X."""

@@ -137,6 +137,20 @@ class TestPlans:
         plan = session.plan("a.b")
         assert plan.accepts(["q1", "q2"])
 
+    def test_exactness_of_a_plan_is_searched_once(self, session, monkeypatch):
+        from repro.core import exactness
+
+        searches = []
+        search = exactness.containment_counterexample
+        monkeypatch.setattr(
+            exactness,
+            "containment_counterexample",
+            lambda left, right: searches.append(left) or search(left, right),
+        )
+        assert session.is_exact("a.b") and session.is_exact("a.b")
+        assert session.plan("a.b").exactness_counterexample() is None
+        assert len(searches) == 1
+
     def test_incomplete_views_still_sound(self, store, theory):
         session = QuerySession(store, {"q1": "a"}, theory)
         assert not session.is_exact("a+b")
