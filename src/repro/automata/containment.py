@@ -23,6 +23,7 @@ exactness check are calls of :func:`containment_counterexample`, which is:
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Hashable, Union
 
 from .dfa import DFA
@@ -114,8 +115,9 @@ def _counterexample(left: _LazyView, right: _LazyView) -> tuple[Hashable, ...] |
     sigma = sorted(left.alphabet, key=repr)
     minimal: dict[int, list[int]] = {}  # left id -> antichain of right masks
     # (left mask, right mask, link) in BFS order; link = (parent's link, symbol)
-    moves: list[tuple[int, int, tuple]] = [(left.start, right.start, ())]
-    for states, subset, link in moves:
+    moves: deque[tuple[int, int, tuple]] = deque([(left.start, right.start, ())])
+    while moves:
+        states, subset, link = moves.popleft()
         for state in _bits(states):
             chain = minimal.setdefault(state, [])
             if any(not seen & ~subset for seen in chain):

@@ -21,11 +21,11 @@ from repro.automata.operations import difference_dfa
 from repro.automata.thompson import to_nfa
 from repro.core import ViewSet, maximal_rewriting, nonempty_rewriting_witness
 from repro.core.expansion import word_expansion_nfa
-from repro.reductions.tiling import TilingSystem
-from repro.reductions.twoexpspace import tilde, twoexpspace_reduction
+from repro.reductions.twoexpspace import tilde
 from repro.regex.parser import parse
 
 from ..conftest import regex_strategy
+from ..reductions.test_twoexpspace import reduction  # noqa: F401  (Thm 3.5 fixture)
 
 
 def explicit_counterexample(left: NFA, right: NFA):
@@ -33,27 +33,23 @@ def explicit_counterexample(left: NFA, right: NFA):
     return shortest_word(difference_dfa(determinize(left), determinize(right)))
 
 
-# Which side (if any) is handed over as a DFA, and whether the right side is
-# built over {a, b} only so the left alphabet is not contained in it.
-shapes = st.tuples(st.sampled_from(["nfa", "left_dfa", "right_dfa"]), st.booleans())
-
-
 @settings(max_examples=2000, deadline=None)
 @given(
     left=regex_strategy(max_leaves=6),
     right=regex_strategy(max_leaves=6),
     narrow=regex_strategy(alphabet=("a", "b"), max_leaves=6),
-    shape=shapes,
+    narrow_right=st.booleans(),
+    dfa_side=st.sampled_from(["neither", "left", "right"]),
 )
-def test_search_agrees_with_explicit_route(left, right, narrow, shape):
-    """Thompson NFAs keep their epsilon moves; the leaves include the empty
-    and the epsilon-only language."""
-    dfa_side, narrow_right = shape
+def test_search_agrees_with_explicit_route(left, right, narrow, narrow_right, dfa_side):
+    """Thompson NFAs keep their epsilon moves and the leaves include the empty
+    and the epsilon-only language; ``narrow_right`` takes the right side from
+    {a, b} so the left alphabet is not contained in it; one side may be a DFA."""
     l_nfa, r_nfa = to_nfa(left), to_nfa(narrow if narrow_right else right)
     expected = explicit_counterexample(l_nfa, r_nfa)
     witness = containment_counterexample(
-        determinize(l_nfa) if dfa_side == "left_dfa" else l_nfa,
-        determinize(r_nfa) if dfa_side == "right_dfa" else r_nfa,
+        determinize(l_nfa) if dfa_side == "left" else l_nfa,
+        determinize(r_nfa) if dfa_side == "right" else r_nfa,
     )
     if expected is None:
         assert witness is None
@@ -73,24 +69,10 @@ def test_antichain_prunes_subsumed_subsets():
     assert time.perf_counter() - started < 0.1
 
 
-@pytest.fixture(scope="module")
-def thm35_reduction():
-    system = TilingSystem(
-        tiles=("s", "f", "l", "r"),
-        horizontal=frozenset({("s", "r"), ("r", "l"), ("l", "r"), ("r", "f")}),
-        vertical=frozenset({("s", "l"), ("l", "l"), ("r", "r"), ("r", "f")}),
-        t_start="s",
-        t_final="f",
-        t_left="l",
-        t_right="r",
-    )
-    return twoexpspace_reduction(system, 1)
-
-
-def test_search_closes_only_the_states_it_reaches(thm35_reduction, monkeypatch):
+def test_search_closes_only_the_states_it_reaches(reduction, monkeypatch):
     """Laziness contract: containment of a 12-state word expansion in the
     157 846-state ``E0`` of Theorem 3.5 epsilon-closes under 1 % of it."""
-    e0 = to_nfa(thm35_reduction.e0)
+    e0 = to_nfa(reduction.e0)
     closed = []
     closure = NFA.epsilon_closure
 
@@ -101,7 +83,7 @@ def test_search_closes_only_the_states_it_reaches(thm35_reduction, monkeypatch):
 
     monkeypatch.setattr(NFA, "epsilon_closure", counting)
     word = (tilde("l"), tilde("s"))
-    assert is_contained(word_expansion_nfa(word, thm35_reduction.views), e0)
+    assert is_contained(word_expansion_nfa(word, reduction.views), e0)
     assert 0 < len(closed) < e0.num_states // 100
 
 

@@ -74,26 +74,25 @@ class TestInexactInstances:
 class TestSearchedOnce:
     """The witness is kept on the result: ``None`` = exact, found at most once."""
 
-    @pytest.mark.parametrize("build", [maximal_rewriting, existential_rewriting])
+    @pytest.mark.parametrize(
+        "build, verdict",
+        [(maximal_rewriting, "is_exact"), (existential_rewriting, "covers")],
+    )
     @pytest.mark.parametrize("e0, views", [EXACT_INSTANCES[0], INEXACT_INSTANCES[0]])
-    def test_second_query_performs_no_search(self, build, e0, views, monkeypatch):
+    def test_second_query_performs_no_search(self, build, verdict, e0, views, monkeypatch):
         from repro.core import exactness
 
         searches = []
-
-        def counting(left, right):
-            searches.append((left, right))
-            return containment_counterexample(left, right)
-
-        monkeypatch.setattr(exactness, "containment_counterexample", counting)
+        monkeypatch.setattr(
+            exactness,
+            "containment_counterexample",
+            lambda left, right: searches.append(left)
+            or containment_counterexample(left, right),
+        )
         result = build(e0, ViewSet(views))
         witness = exactness_counterexample(result)
         assert exactness_counterexample(result) == witness
-        if build is maximal_rewriting:
-            assert result.is_exact() == (witness is None)
-        else:
-            assert result.covers() == (witness is None)
-            assert result.coverage_counterexample() == witness
+        assert getattr(result, verdict)() == (witness is None)
         assert len(searches) == 1
 
 
