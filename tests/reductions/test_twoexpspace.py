@@ -29,6 +29,12 @@ def reduction():
     return twoexpspace_reduction(system, 1)
 
 
+@pytest.fixture(scope="module")
+def e0_nfa(reduction):
+    """The 157 846-state Thompson NFA of ``E0``, built once per module."""
+    return to_nfa(reduction.e0)
+
+
 class TestShape:
     def test_view_alphabet(self, reduction):
         symbols = set(reduction.views.symbols)
@@ -50,10 +56,9 @@ class TestShape:
     def test_row_length_formula(self, reduction):
         assert reduction.row_length == 1 + 2 * 2 ** 2
 
-    def test_delta_star_included(self, reduction):
-        e0 = to_nfa(reduction.e0)
-        assert e0.accepts(())
-        assert e0.accepts(("s", "f", "l", "r", "s"))
+    def test_delta_star_included(self, e0_nfa):
+        assert e0_nfa.accepts(())
+        assert e0_nfa.accepts(("s", "f", "l", "r", "s"))
 
     def test_sizes_polynomial(self):
         system = TilingSystem(
@@ -103,17 +108,15 @@ class TestExpansionFormClaims:
         w = (tilde("s"), "b010")
         assert not is_contained(word_expansion_nfa(w, reduction.views), target)
 
-    def test_error_words_are_rewritings_of_e0(self, reduction):
+    def test_error_words_are_rewritings_of_e0(self, reduction, e0_nfa):
         # Any Sigma_E word whose expansions all land in E0^1 is in
         # particular a rewriting of E0 = E0^1 + Delta*.
-        e0 = to_nfa(reduction.e0)
         w = (tilde("l"), tilde("s"))  # horizontal error word
-        assert is_contained(word_expansion_nfa(w, reduction.views), e0)
+        assert is_contained(word_expansion_nfa(w, reduction.views), e0_nfa)
 
-    def test_correct_tiling_word_is_not_a_rewriting(self, reduction):
+    def test_correct_tiling_word_is_not_a_rewriting(self, reduction, e0_nfa):
         # ~s.~r spells a horizontally valid pair: its pure-tile expansion
         # s.r is in Delta*, but the mixed expansion ~s.~r is in no error
         # language, so the word is not part of any rewriting.
-        e0 = to_nfa(reduction.e0)
         w = (tilde("s"), tilde("r"))
-        assert not is_contained(word_expansion_nfa(w, reduction.views), e0)
+        assert not is_contained(word_expansion_nfa(w, reduction.views), e0_nfa)
