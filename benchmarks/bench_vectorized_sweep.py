@@ -15,22 +15,27 @@ to the same sorted answer list on a mid-size workload graph.
 The sparse cell holds the other end of ``NUMPY_BACKEND_MIN_EDGES``:
 right at the threshold, on path-like data (9 000-edge ``grid`` and
 ``scale_free`` workload graphs, a few edges per node), ``auto`` picks
-numpy, so numpy must win there too — at least **1.4x** over big-int on
+numpy, so numpy must win there too — at least **2.7x** over big-int on
 bounded three-step queries, byte-identical.  That is the regime the
-kernel's pair-list rounds and word-sparse decode exist for.
+kernel's pair-list rounds, key-form settled sets and key decode exist for.
 
 Both gates were 10x and 1.5x until ``compile_automaton`` began merging
 twin states: *the baseline got faster*.  The big-int sweep pays per
 transition (``a.a.b``: 8 -> 3), the block kernel per (state, label)
 gather (2 -> 1), so both sides sped up and the ratio between them fell.
 Each constant is two thirds of the ratio measured after that change,
-rounded down; both absolute times are printed.
+rounded down; both absolute times are printed.  The sparse gate then
+rose from 1.4x to 2.7x when pair rounds stopped allocating ``(n, B)``
+matrices (two thirds of the lower family's 4.1x).
 
 Measured locally (single core, 1500 nodes, ~1.54M edges, query
 ``a.a.b``, 24k answers), before -> after the merge: big-int 2.17 ->
 0.82-0.90s, numpy 0.153 -> 0.078-0.093s, **14.2x -> 9.1-11.0x**; sparse
 cell: grid big-int 0.155 -> 0.038s, numpy 0.027 -> 0.017s (5.6x ->
 1.8-2.3x), scale_free 0.044 -> 0.016s, 0.013 -> 0.008s (3.5x -> 2.0-2.2x).
+With key-form settled sets (same machine, big-int 0.042-0.065s and
+0.012-0.017s): grid numpy 0.010-0.011 -> 0.004-0.006s (3.8-5.6x ->
+10.2-11.7x), scale_free 0.006-0.007 -> 0.003-0.004s (1.9-2.5x -> 4.1-5.0x).
 """
 
 import random
@@ -43,7 +48,7 @@ from repro.rpq.incremental import DeltaSweepState, NumpyDeltaSweepState
 
 SEED = 20260808
 GATE_RATIO = 7.0
-SPARSE_GATE_RATIO = 1.4
+SPARSE_GATE_RATIO = 2.7
 
 
 def _compiled(db, query):

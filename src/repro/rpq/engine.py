@@ -70,7 +70,7 @@ Pair = tuple[Hashable, Hashable]
 # (:mod:`repro.sweep.kernel`) amortizes its setup and pulls ahead.
 # ``benchmarks/bench_vectorized_sweep.py`` gates both ends of that claim:
 # a sparse cell right at the threshold (9 000-edge grid and scale-free
-# graphs, numpy ~2x, gated >= 1.4x) and the dense 1.5M-edge cell (>= 7x).
+# graphs, numpy 4-12x, gated >= 2.7x) and the dense 1.5M-edge cell (>= 7x).
 NUMPY_BACKEND_MIN_EDGES = 8192
 
 _BACKENDS = ("auto", "bigint", "numpy")

@@ -599,22 +599,12 @@ class NumpyDeltaSweepState(DeltaSweepState):
     __slots__ = ("num_blocks", "answers_matrix", "_store")
 
     def _build(self) -> None:
-        compiled = self.compiled
         self.num_blocks = blocks_for(self.num_nodes)
         self._store = None
         matrices: dict[int, np.ndarray] = {}
         answers = _kernel.sweep_window(
-            self.db.to_csr(), compiled, reached_out=matrices
+            self.db.to_csr(), self.compiled, reached_out=matrices
         )
-        if not matrices:
-            # Degenerate input (empty graph, no initial state): the kernel
-            # returned before allocating.  Every state that can hold a
-            # product point gets its matrix now, so the maintenance code
-            # never creates one lazily (it would create a list).
-            matrices = {
-                state: np.zeros_like(answers)
-                for state in compiled.table.keys() | compiled.rtable.keys()
-            }
         self._adopt(matrices, answers)
 
     def _adopt(self, matrices, answers) -> None:

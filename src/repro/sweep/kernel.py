@@ -4,20 +4,30 @@ This is the numpy twin of the big-int sweep in :mod:`repro.sweep.bigint`.
 Both compute the same semi-naive fixpoint — per automaton state, the set
 of *source* nodes known to reach each (state, node) product point — but
 where the engine packs a node's source set into one Python integer, this
-kernel keeps the whole per-state relation in a ``(num_nodes, ceil(W /
-64))`` uint64 block matrix (``W`` = the width of the source window: the
-full graph, or one shard's node range).  A round takes one of two forms,
-so that it costs what its frontier costs:
+kernel keeps the whole per-state relation as the set bits of a
+``(num_nodes, ceil(W / 64))`` uint64 block matrix (``W`` = the width of
+the source window: the full graph, or one shard's node range).  A round
+takes one of two forms, so that it costs what its frontier costs:
 
 * **Pair-list round** (sparse frontier).  A state's delta is one sorted
   int64 array of *bit keys* ``node * 64B + window column`` — ``key >> 6``
   is the flat word index into a block matrix, ``key & 63`` the bit.  The
   round expands the delta through the label's forward CSR
-  (``indptr[nodes]``, ``repeat``, one gather), dedups the products with
-  one sort, drops keys whose bit is already set in the state's settled
-  matrix, and folds the fresh bits per word with one
-  ``reduceat`` (:func:`repro.sweep.csr.pack_keys`).  No ``(n, B)`` buffer
-  is read or written beyond the touched words.
+  (``indptr[nodes]``, ``repeat``, one gather) and dedups the products
+  with one sort.  The state's *settled* set is a sorted key array too
+  (:class:`_Settled`): one ``searchsorted`` drops the keys it holds and
+  the fresh ones are merged in, so no ``(n, B)`` matrix is allocated,
+  zeroed or scanned.  A merge rewrites the whole array, so a starred
+  query on a sparse graph would pay ``O(settled)`` every round: once one
+  state has *written* more than ``n * B / 8`` keys (its array size summed
+  over the rounds that grew it, :func:`_keys_fit`), every settled set
+  becomes a block matrix cut from one allocation, fresh keys are those
+  whose bit is clear, and they are folded in per word with one
+  ``reduceat`` (:func:`repro.sweep.csr.pack_keys`).  Measured on the
+  9 000-edge grid (2-vCPU Xeon VM): with no bound ``r*.d`` took 50 ms and
+  ``(r+d)*`` 2.9 s (+34 MiB), against 23-28 ms and 0.76 s with it; a
+  bound on the array *size* instead left ``b.a*.b`` on the layered DAG
+  1.2x slower than all-matrix sweeps (``BENCH_25.json``).
 * **Block round** (dense frontier).  Deltas are ``(num_nodes + 1, B)``
   matrices; per label the round *gathers* the delta rows of every
   target's in-neighbours through the padded reverse-CSR schedule
@@ -35,7 +45,8 @@ of out-degrees over its deltas, known *before* expanding.  While that is
 at most ``n * B`` — the words one pass over one block matrix touches —
 the round runs as pair lists (:func:`_pair_round_pays`); the first round
 that exceeds it scatters the pair deltas into delta matrices and the
-block loop finishes the sweep.  The switch is one-way: a saturating
+block loop finishes the sweep on the settled matrices (made there, if the
+key bound did not make them first).  The switch is one-way: a saturating
 frontier stays dense until its last round or two, and re-deriving pair
 lists from matrices costs the ``n * B`` scan the pair form exists to
 avoid.  Delta matrices, gather plans and adjacency bitmaps are only
@@ -57,10 +68,14 @@ not narrowed: spreading bits back to ``(n, B)`` measured 1.0 ms a view
 on the 129-state ``Ad`` of the k = 7 blow-up query, more than the
 narrower sweep saved there (2.4 -> 0.9 ms).
 
-**Decode.**  :func:`decode_matrix` is the one place answer bits become
-ids, for both row forms (big-int rows reach it as a matrix of their
-non-zero masks, :func:`decode_masks`), and what it returns stays a pair
-of int64 arrays until ``GraphDB.pairs_at`` maps them to nodes.  A sparse
+**Decode.**  The answer is the epsilon diagonal plus the final states'
+settled bits.  A sweep that ends with keyed sets decodes those keys: one
+sort of the transposed ``column * n + target`` and a dedup (two final
+states may settle one key), no matrix.  Otherwise :func:`decode_matrix`
+is where answer bits become ids, for both row forms (big-int rows reach
+it as a matrix of their non-zero masks, :func:`decode_masks`), and what
+it returns stays a pair of int64 arrays until ``GraphDB.pairs_at`` maps
+them to nodes.  A sparse
 answer sets about one bit per non-zero word, so the unpack goes down two
 levels — the non-zero words, then their non-zero *bytes* — and hands
 ``unpackbits`` only those: an eighth of a ``(words, 64)`` cube.  Each
@@ -118,6 +133,13 @@ def _pair_round_pays(expansion_pairs: int, matrix_words: int) -> bool:
     return expansion_pairs <= matrix_words
 
 
+def _keys_fit(written_keys: int, matrix_words: int) -> bool:
+    """Whether settled sets stay key arrays once one has written
+    ``written_keys`` keys: at most an eighth of the words of an ``(n, B)``
+    matrix (module docstring, *Pair-list round*)."""
+    return written_keys << 3 <= matrix_words
+
+
 def _zero_matrices(states, rows: int, num_blocks: int) -> dict[int, np.ndarray]:
     """One zeroed ``(rows, num_blocks)`` matrix per state, cut from a
     single allocation: numpy asks for huge pages from 4 MiB up, and first
@@ -125,6 +147,53 @@ def _zero_matrices(states, rows: int, num_blocks: int) -> dict[int, np.ndarray]:
     many separate 2-3 MiB arrays."""
     block = np.zeros((len(states), rows, num_blocks), dtype=np.uint64)
     return dict(zip(states, block))
+
+
+class _Settled:
+    """The settled bits of every automaton state over a ``(rows, B)``
+    layout: sorted int64 bit-key arrays until one state has written more
+    keys than :func:`_keys_fit` allows, then, all at once and for good,
+    block matrices cut from one allocation (:func:`_zero_matrices`)."""
+
+    def __init__(self, states, rows: int, num_blocks: int) -> None:
+        self.states, self.shape = list(states), (rows, num_blocks)
+        self.keys: dict[int, np.ndarray] = {}
+        self.written: dict[int, int] = {}
+        self.matrices: dict[int, np.ndarray] | None = None
+
+    def add(self, state: int, keys: np.ndarray) -> np.ndarray:
+        """Settle ascending, unique, non-empty ``keys``; return the new ones."""
+        if self.matrices is not None:
+            matrix = self.matrices[state]
+            bits = np.uint64(1) << (keys & 63).astype(np.uint64)
+            keys = keys[(matrix.reshape(-1)[keys >> 6] & bits) == 0]
+            if keys.size:
+                _or_keys(matrix, keys)
+            return keys
+        held = self.keys.get(state)
+        if held is not None:
+            keys = keys[held.take(np.searchsorted(held, keys), mode="clip") != keys]
+            if not keys.size:
+                return keys
+            held = np.concatenate((held, keys))
+            held.sort(kind="stable")  # two ascending runs: one merge
+        self.keys[state] = held = keys if held is None else held
+        self.written[state] = self.written.get(state, 0) + held.size
+        if not _keys_fit(self.written[state], self.shape[0] * self.shape[1]):
+            self.to_matrices()
+        return keys
+
+    def to_matrices(self) -> dict[int, np.ndarray]:
+        """Every state's settled bits as a matrix, from now on."""
+        if self.matrices is None:
+            self.matrices = _zero_matrices(self.states, *self.shape)
+            for state, keys in self.keys.items():
+                _or_keys(self.matrices[state], keys)
+            self.keys = {}
+        return self.matrices
+
+
+_NO_KEYS = np.empty(0, dtype=np.int64)
 
 
 def _sorted_unique(values: np.ndarray) -> np.ndarray:
@@ -161,16 +230,12 @@ def _seed_columns(snapshot, labels, sources: np.ndarray) -> np.ndarray:
     """The positions in ascending ``sources`` of the ids with an out-edge
     under one of ``labels`` (a state's row) — the only sources that can
     start a path from that state.  Ascending and unique."""
-    hits = [
-        np.flatnonzero(
-            label_csr.out_indptr[sources + 1] != label_csr.out_indptr[sources]
-        )
-        for label in labels
-        if (label_csr := snapshot.label_csr(label)) is not None
-    ]
-    if not hits:
-        return np.empty(0, dtype=np.int64)
-    return _sorted_unique(np.concatenate(hits))
+    hit = np.zeros(sources.size, dtype=bool)
+    after = sources + 1
+    for label in labels:
+        if (label_csr := snapshot.label_csr(label)) is not None:
+            hit |= label_csr.out_indptr[after] != label_csr.out_indptr[sources]
+    return np.flatnonzero(hit)
 
 
 def sweep_window(
@@ -181,7 +246,8 @@ def sweep_window(
     *,
     reached_out: dict | None = None,
     sources: np.ndarray | None = None,
-) -> np.ndarray:
+    live: np.ndarray | None = None,
+) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
     """Sweep sources in ``[lo, hi)``; return the answer block matrix.
 
     Row ``t`` of the result holds one bit per window source: bit ``j``
@@ -196,13 +262,17 @@ def sweep_window(
     ``sources[j]``, ``lo``/``hi`` are ignored, and the adjacency-bitmap
     shortcut — laid out for contiguous windows — is not taken.  Every other
     caller gets the contiguous layout documented above, unchanged.
+    ``live`` (kernel-internal, :func:`all_pairs_ids` only: the ids it
+    scanned for an out-edge matching an initial state's row) seeds a lone
+    initial state without a rescan and asks for the answer as
+    :func:`decode_matrix`'s ``(sources, targets)`` arrays instead.
 
-    With ``reached_out`` (a dict), the settled per-state ``(num_nodes,
-    B)`` matrices, one per automaton state, are handed back after the
-    fixpoint — :class:`repro.rpq.incremental.NumpyDeltaSweepState`
-    retains them as its storage.  On degenerate inputs (empty graph, no
-    initial states) the dict is left empty and the caller allocates the
-    zero matrices itself.
+    Settled sets are key arrays until the key bound or the hand-over
+    (module docstring); the matrices a caller gets are built when the
+    sweep ends.  With ``reached_out`` (a dict), the settled per-state
+    ``(num_nodes, B)`` matrices, one per automaton state, are handed back
+    after the fixpoint — :class:`repro.rpq.incremental.NumpyDeltaSweepState`
+    retains them as its storage.
     """
     num_nodes = snapshot.num_nodes
     if hi is None:
@@ -213,28 +283,20 @@ def sweep_window(
     width = sources.size
     num_blocks = blocks_for(width)
     stride = num_blocks << 6  # bit key = node * stride + window column
-    answers = np.zeros((num_nodes, num_blocks), dtype=np.uint64)
-    if compiled.accepts_epsilon and width > 0:
-        _or_keys(answers, sources * stride + np.arange(width))
-    if num_nodes == 0 or width == 0 or not compiled.initials:
-        return answers
-
     table = compiled.table
-    states = set(table)
-    for row in table.values():
-        for next_states in row.values():
-            states |= next_states
-    reached = _zero_matrices(states, num_nodes, num_blocks)
+    reached = _Settled(table.keys() | compiled.rtable.keys(), num_nodes, num_blocks)
 
     # Seed each initial state with the window sources that have an
     # out-edge matching its row (any other source contributes nothing
     # beyond the epsilon answer): the diagonal ``(sources[j], j)``.
     pairs: dict[int, np.ndarray] = {}
     for state in compiled.initials:
-        columns = _seed_columns(snapshot, table.get(state, ()), sources)
+        if live is not None and len(compiled.initials) == 1:
+            columns = np.searchsorted(sources, live)
+        else:
+            columns = _seed_columns(snapshot, table.get(state, ()), sources)
         if columns.size:
-            pairs[state] = sources[columns] * stride + columns
-            _or_keys(reached[state], pairs[state])
+            pairs[state] = reached.add(state, sources[columns] * stride + columns)
 
     # The deltas are still exactly the seed diagonals of ``[lo, hi)``.
     seeded = contiguous
@@ -255,20 +317,52 @@ def sweep_window(
                         (label_csr.out_indices, starts, counts, columns, next_states)
                     )
         if not _pair_round_pays(expansion_pairs, num_nodes * num_blocks):
-            _block_rounds(
-                snapshot, compiled, lo, hi, reached, answers, pairs, seeded
-            )
+            _block_rounds(snapshot, table, lo, hi, reached.to_matrices(), pairs, seeded)
             break
-        pairs = _pair_round(expansions, stride, reached, answers, compiled.finals)
+        pairs = _pair_round(expansions, stride, reached)
         seeded = False
     if reached_out is not None:
-        reached_out.update(reached)
+        reached_out.update(reached.to_matrices())
+    epsilon = compiled.accepts_epsilon
+    diagonal = sources * stride + np.arange(width) if epsilon else _NO_KEYS
+    answers = _answer(reached, compiled.finals, diagonal, live is None)
+    del reached  # the decode runs without the settled matrices
+    if live is None:
+        return answers
+    if answers.ndim == 2:
+        columns, targets = decode_matrix(answers, width)
+    else:  # sort the transposed keys; a dedup drops keys two final states settled
+        targets, columns = np.divmod(answers, stride)
+        columns, targets = np.divmod(
+            _sorted_unique(columns * num_nodes + targets), num_nodes
+        )
+    return sources[columns], targets
+
+
+def _answer(reached: _Settled, finals, diagonal: np.ndarray, as_matrix: bool):
+    """The answer bits, the epsilon ``diagonal`` keys and the final states'
+    settled bits: one unsorted key array while the states are keyed and
+    ``as_matrix`` is false, else a fresh matrix."""
+    if reached.matrices is None:
+        parts = [diagonal, *(reached.keys[s] for s in finals if s in reached.keys)]
+        if not as_matrix:
+            return np.concatenate(parts)
+        dense = []
+    else:
+        parts = [diagonal]
+        dense = [reached.matrices[s] for s in finals if s in reached.matrices]
+    answers = dense.pop().copy() if dense else np.zeros(reached.shape, np.uint64)
+    for matrix in dense:
+        answers |= matrix
+    for keys in parts:
+        if keys.size:
+            _or_keys(answers, keys)
     return answers
 
 
-def _pair_round(expansions, stride, reached, answers, finals) -> dict[int, np.ndarray]:
-    """One pair-list round: expand, dedup, keep the fresh bits, record
-    them in ``reached``/``answers``; returns the next pair deltas."""
+def _pair_round(expansions, stride, reached) -> dict[int, np.ndarray]:
+    """One pair-list round: expand, dedup, settle the fresh keys; returns
+    the next pair deltas."""
     produced: dict[int, list[np.ndarray]] = {}
     for out_indices, starts, counts, columns, next_states in expansions:
         ends = np.cumsum(counts)
@@ -279,26 +373,15 @@ def _pair_round(expansions, stride, reached, answers, finals) -> dict[int, np.nd
             produced.setdefault(next_state, []).append(keys)
     pairs: dict[int, np.ndarray] = {}
     for state, parts in produced.items():
-        keys = _sorted_unique(np.concatenate(parts))
-        settled = reached[state].reshape(-1)
-        bits = np.uint64(1) << (keys & 63).astype(np.uint64)
-        keys = keys[(settled[keys >> 6] & bits) == 0]
+        keys = reached.add(state, _sorted_unique(np.concatenate(parts)))
         if keys.size:
-            words, values = pack_keys(keys)
-            settled[words] |= values
-            if state in finals:
-                answers.reshape(-1)[words] |= values
             pairs[state] = keys
     return pairs
 
 
-def _block_rounds(
-    snapshot, compiled, lo, hi, reached, answers, pairs, seeded
-) -> None:
+def _block_rounds(snapshot, table, lo, hi, reached, pairs, seeded) -> None:
     """Finish the sweep with block rounds from the pair deltas ``pairs``."""
-    num_nodes, num_blocks = answers.shape
-    table = compiled.table
-    finals = compiled.finals
+    num_nodes, num_blocks = next(iter(reached.values())).shape
     # Per state: the current delta (one sentinel row pinned to zero for
     # padded gathers) and the accumulator that becomes the next delta.
     # Allocated once at the hand-over, reused every round.
@@ -365,8 +448,6 @@ def _block_rounds(
             if not new.any():
                 continue
             np.bitwise_or(reached[state], new, out=reached[state])
-            if state in finals:
-                np.bitwise_or(answers, new, out=answers)
             # The accumulator (now holding exactly the new bits) becomes
             # the next round's delta; the old delta becomes the next
             # accumulator.  Sentinel rows stay zero on both.
@@ -445,8 +526,5 @@ def all_pairs_ids(
     live = _seed_columns(
         snapshot, first_labels, np.arange(num_nodes, dtype=np.int64)
     )
-    if compiled.accepts_epsilon or 2 * blocks_for(live.size) > blocks_for(num_nodes):
-        return decode_matrix(sweep_window(snapshot, compiled), num_nodes)
-    answers = sweep_window(snapshot, compiled, sources=live)
-    columns, targets = decode_matrix(answers, live.size)
-    return live[columns], targets
+    wide = compiled.accepts_epsilon or 2 * blocks_for(live.size) > blocks_for(num_nodes)
+    return sweep_window(snapshot, compiled, sources=None if wide else live, live=live)
