@@ -1,17 +1,17 @@
 """SHARDED: ParallelEvaluator vs the single-process engine (ISSUE 4 gate).
 
 The headline gate: on a workload-generated graph with >= 50k edges, the
-sharded evaluator — running its *sequential* k-window fallback, i.e. with
-no process-level parallelism at all — must answer a bounded query mix at
+sharded evaluator — sweeping its k windows one after another on a
+single thread — must answer a bounded query mix at
 least 2x faster than the monolithic **big-int** sweep
 (:func:`repro.rpq.engine.evaluate_all_sorted` with ``backend="bigint"``),
 with **byte-identical sorted answer sets**.  Both sides run the same
 ``engine._sweep_to_fixpoint`` loop; the speedup is mask narrowing and
 nothing else: window ``i`` packs its source sets into ``(hi - lo)``-bit
 masks instead of ``num_nodes``-bit masks, so every big-int delta/merge in
-the product sweep costs ~1/k of the monolithic sweep's.  Worker processes
-then multiply that on multi-core hosts (reported here, not gated — CI
-boxes may expose a single core).
+the product sweep costs ~1/k of the monolithic sweep's.  More worker
+threads are reported here, not gated (CI boxes may expose a single
+core).
 
 The baseline is pinned to ``backend="bigint"`` on purpose: at 50k edges
 the engine's default ``"auto"`` resolves to the numpy block kernel, which
@@ -113,9 +113,9 @@ def test_sharded_speedup_on_50k_edge_grid():
 
 
 def test_pool_workers_agree_and_are_reported():
-    """The process-pool path on the same 50k-edge workload: answers must
-    be identical; wall-clock is reported, not gated (single-core CI
-    boxes cannot promise a pool speedup)."""
+    """Four threads over one in-memory snapshot on the same 50k-edge
+    workload: answers must be identical; wall-clock is reported, not
+    gated (single-core CI boxes cannot promise a thread speedup)."""
     db = make_graph("grid", seed=SEED, edges=50_000)
     query = _bounded_queries("grid", count=1)[0]
     compiled = _compiled(db, query)

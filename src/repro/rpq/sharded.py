@@ -1,32 +1,27 @@
-"""Sharded, parallel RPQ evaluation (the scale-out layer over the engine).
+"""Sharded RPQ evaluation (the scale-out layer over the engine).
 
 :mod:`repro.rpq.engine` answers all-pairs queries in one macro-frontier
-sweep whose source sets are packed into ``num_nodes``-bit masks.  That
-is the fastest *single* sweep this repo knows, but it leaves two axes on
-the table: multiple cores, and the width of those masks.
-:class:`ParallelEvaluator` takes both with one mechanism — **source
-windows**.  The node ids are cut into ``k`` contiguous ranges
-(:func:`shard_bounds`), and task ``i`` runs the very same sweep seeded
-only with the sources in ``[lo, hi)``: it computes every answer pair
-``(x, y)`` whose ``x`` lies in its range, over the *whole* graph.
-Because a window's source sets pack into ``(hi - lo)``-bit masks instead
-of ``num_nodes``-bit ones, the mask work per product-edge crossing drops
-by a factor of ``k`` — and the tasks share nothing, so they run
-unchanged in a process pool.  Nothing is partitioned but the sources:
-every task reads one frozen :class:`~repro.rpq.csr.CSRSnapshot` (mmapped
-from a single file in pool workers), the big-int backend through
+sweep whose source sets are packed into ``num_nodes``-bit masks.
+:class:`ParallelEvaluator` cuts that sweep by **source windows**: the
+node ids are cut into ``k`` contiguous ranges (:func:`shard_bounds`),
+and window ``i`` runs the very same sweep seeded only with the sources
+in ``[lo, hi)``: it computes every answer pair ``(x, y)`` whose ``x``
+lies in its range, over the *whole* graph.  Because a window's source
+sets pack into ``(hi - lo)``-bit masks instead of ``num_nodes``-bit
+ones, the mask work per product-edge crossing drops by a factor of
+``k``, and the windows share nothing but what they read, so they run
+unchanged on a thread pool.  Nothing is partitioned but the sources:
+every window reads the evaluator's one in-memory
+:class:`~repro.sweep.csr.CSRSnapshot`, the big-int backend through
 ``engine._sweep_to_fixpoint`` and the numpy backend through
 ``kernel.sweep_window``.
 
 Exactness and determinism are non-negotiable: for every shard count,
-worker count and backend, results are **bit-identical** to
-the single-window engine (and to ``naive_evaluate``) — the pool path
-returns per-window masks merged in window order, and the sequential
-fallback (used when ``workers <= 1`` or when process pools are
-unavailable in the host environment) runs the very same
-:func:`_sweep_window` in a plain loop.  The randomized differential
-harness in ``tests/rpq/test_sharded_differential`` holds the all-pairs
-entry points to that contract on every workload family.
+worker count and backend, results are **bit-identical** to the
+single-window engine (and to ``naive_evaluate``): the per-window masks
+are merged in window order whichever thread swept them.  The randomized
+differential harness in ``tests/rpq/test_sharded_differential`` holds
+the all-pairs entry points to that contract on every workload family.
 
 Ordering guarantee: :meth:`ParallelEvaluator.evaluate_all_sorted` (like
 :func:`repro.rpq.engine.evaluate_all_sorted`) returns answers sorted by
@@ -37,10 +32,7 @@ which is independent of shard count, worker count, process, and
 
 from __future__ import annotations
 
-import os
-import shutil
-import tempfile
-import weakref
+from concurrent.futures import ThreadPoolExecutor
 from typing import Hashable, Iterable
 
 from ..sweep import window_masks
@@ -58,12 +50,10 @@ Pair = tuple[Hashable, Hashable]
 
 
 class ShardedEvaluationError(RuntimeError):
-    """A shard worker failed mid-sweep.
+    """A window's sweep failed; the message names its source range.
 
-    Raised by :class:`ParallelEvaluator` after the pool has been shut
-    down (``cancel_futures=True``), so callers never inherit a hung or
-    half-broken pool; the evaluator stays usable and the next pooled
-    call spawns a fresh pool.
+    No partial answer is returned, and the evaluator stays usable: the
+    next call runs every window again on the same thread pool.
     """
 
 
@@ -88,72 +78,35 @@ def _sweep_window(
     ``backend``'s rows: ``{target_id: mask}`` re-based to the window, which
     is where the factor-``k`` saving over the monolithic sweep comes from.
 
-    ``fail`` is fault injection for the crash-recovery tests: the sweep
-    raises before touching any state, as a crashing worker would.
+    ``fail`` is fault injection for the fault-contract tests: the sweep
+    raises before touching any state.
     """
     if fail:
-        raise RuntimeError(
-            f"injected fault: worker died sweeping sources [{lo}, {hi})"
-        )
+        raise RuntimeError(f"injected fault sweeping sources [{lo}, {hi})")
     return window_masks(snapshot, compiled, lo, hi, backend == "numpy")
 
 
-# The snapshot a worker process last mapped, as ``(path, snapshot)``.
-# Tasks carry only the path of the evaluator's current snapshot file (it
-# names the generation, so it changes on every effective refresh); a
-# worker maps the file **zero-copy** on first sight and keeps it — with
-# the gather plans and adjacency views the sweeps memoize on it — until
-# a task names another.  That is what lets one long-lived pool serve
-# every query and every refresh: a refresh costs one file write in the
-# parent and one ``mmap`` per worker, never a process spawn.
-_WORKER_SNAPSHOT: tuple = (None, None)
-
-
-def _pool_sweep(
-    path: str,
-    compiled: CompiledAutomaton,
-    lo: int,
-    hi: int,
-    backend: str,
-    fail: bool,
-) -> dict[int, int]:
-    """The pool task: :func:`_sweep_window` over the snapshot at ``path``."""
-    global _WORKER_SNAPSHOT
-    if _WORKER_SNAPSHOT[0] != path:
-        from ..sweep.csr import CSRSnapshot
-
-        _WORKER_SNAPSHOT = (path, CSRSnapshot.load(path, mmap=True))
-    return _sweep_window(_WORKER_SNAPSHOT[1], compiled, lo, hi, backend, fail)
-
-
 class ParallelEvaluator:
-    """Shard-parallel evaluation of a compiled automaton over one graph.
+    """Window-parallel evaluation of a compiled automaton over one graph.
 
     ``num_shards`` fixes the source windows (and with them the all-pairs
-    work/mask decomposition); ``workers`` caps the process pool.  With
-    ``workers <= 1`` — or when the host cannot spawn process pools — the
-    same per-window sweeps run sequentially in window order, producing
-    **bit-identical** results (the differential harness asserts this for
-    every entry point).  A worker that *raises* mid-sweep is surfaced as
-    :class:`ShardedEvaluationError` after the pool is torn down.
+    work/mask decomposition); ``workers`` caps the threads that sweep
+    them.  Every worker count runs the same per-window sweeps and merges
+    them in window order, so results are **bit-identical** (the
+    differential harness asserts this).  A window that *raises*
+    mid-sweep surfaces as :class:`ShardedEvaluationError`.
 
-    The graph is frozen into a :class:`~repro.rpq.csr.CSRSnapshot` at
+    The graph is frozen into a :class:`~repro.sweep.csr.CSRSnapshot` at
     construction time: all-pairs answers are for the graph as it was
     when built.  When the underlying graph changes, call :meth:`refresh`
-    to freeze the live graph again **without** discarding the worker
-    pool — a long-lived caller can refresh on every graph change, and
-    respawning processes per one-tuple update would cost more than the
-    update itself.
+    to freeze the live graph again; the thread pool is kept.
 
-    The worker pool is built once, on the first pooled call, and reused
-    across refreshes: the current snapshot is written to one file (only
-    when a pool is used — sequential evaluation never touches disk),
-    each task carries the small compiled automaton plus that file's
-    path, and workers map it lazily (see :func:`_pool_sweep`).  Call
-    :meth:`close` (or use the evaluator as a context manager) to release
-    the workers and the snapshot file; a failed sweep tears both down
-    automatically, and so does garbage collection of an evaluator that
-    was never closed.
+    The pool is built once, on the first call, with
+    ``min(workers, num_shards)`` threads, and reused across calls and
+    refreshes.  All threads read the one snapshot, so the gather plans,
+    adjacency bitmaps and label indexes it memoizes are built once and
+    shared.  Call :meth:`close` (or use the evaluator as a context
+    manager) to release the threads.
     """
 
     def __init__(
@@ -163,7 +116,6 @@ class ParallelEvaluator:
         workers: int = 1,
         *,
         backend: str = "bigint",
-        pool_timeout: float | None = 300.0,
         _fail_shards: Iterable[int] = (),
     ):
         if workers < 1:
@@ -172,23 +124,15 @@ class ParallelEvaluator:
         self._num_shards = num_shards
         self.backend = _engine.resolve_backend(db, backend)
         self.workers = workers
-        self.pool_timeout = pool_timeout
         self._fail_shards = frozenset(_fail_shards)
         self._pool = None
         self._generation = 0
-        # The on-disk copy of the snapshot that pool workers mmap:
-        # written lazily into a private temp directory whose removal is
-        # registered the moment it is created.
-        self._snapshot_dir: str | None = None
-        self._snapshot_file: str | None = None
-        self._remove_snapshot_dir = None
         self._freeze()
 
     def _freeze(self) -> None:
         """Take the evaluator's frozen view of ``self.db``."""
         self._snapshot = self.db.to_csr()
         self._bounds = shard_bounds(self.db.num_nodes, self._num_shards)
-        self._snapshot_file = None
         self._db_mutations = self.db.mutation_count
 
     @property
@@ -201,20 +145,14 @@ class ParallelEvaluator:
         return self._generation
 
     def refresh(self) -> None:
-        """Re-freeze the *live* graph, keeping the worker pool.
-
-        The evaluator answers for the graph as of this call — the same
-        work construction does — but already-spawned workers are reused:
-        the next pooled sweep names the new snapshot file (tagged with a
-        bumped generation) instead of paying a process-pool spawn.
-        Sequential evaluation just picks up the new snapshot.
+        """Re-freeze the *live* graph (the same work construction does),
+        keeping the thread pool.
 
         A refresh against an *unchanged* graph (checked via
         :attr:`GraphDB.mutation_count`, which only moves on effective
-        mutations) is a no-op: the snapshot, the generation, and the
-        file workers already mapped all survive, so callers can refresh
-        unconditionally on every store-version bump without forcing the
-        next pooled sweep to re-ship an identical snapshot.
+        mutations) is a no-op: the snapshot, with everything memoized on
+        it, and the generation both survive, so callers can refresh
+        unconditionally on every store-version bump.
         """
         if self.db.mutation_count == self._db_mutations:
             return
@@ -242,113 +180,38 @@ class ParallelEvaluator:
         return frozenset(self.evaluate_all_sorted(compiled))
 
     # ------------------------------------------------------------------
-    # Task execution
+    # Window execution
     # ------------------------------------------------------------------
     def _sweep_all(self, compiled: CompiledAutomaton) -> list[dict[int, int]]:
         """Per-window answer masks, in window order."""
-        bounds = self._bounds
-        windows = [
-            (bounds[i], bounds[i + 1], i in self._fail_shards)
-            for i in range(self._num_shards)
-        ]
-        workers = min(self.workers, self._num_shards)
-        if workers > 1:
-            pool = self._ensure_pool(workers)
-            if pool is not None:
-                return self._run_pool(pool, compiled, windows)
-        # Sequential fallback: the same sweeps, in window order.  Failures
-        # get the same typed error as the pool path, so callers have one
-        # degradation contract regardless of worker count.
-        results = []
-        for lo, hi, fail in windows:
+        snapshot, bounds, backend = self._snapshot, self._bounds, self.backend
+
+        def sweep(i: int) -> dict[int, int]:
+            lo, hi = bounds[i], bounds[i + 1]
             try:
-                results.append(
-                    _sweep_window(
-                        self._snapshot, compiled, lo, hi, self.backend, fail
-                    )
+                return _sweep_window(
+                    snapshot, compiled, lo, hi, backend, i in self._fail_shards
                 )
             except Exception as exc:
                 raise ShardedEvaluationError(
                     f"sweep of sources [{lo}, {hi}) failed: {exc!r}"
                 ) from exc
-        return results
 
-    def _snapshot_path(self) -> str:
-        """The on-disk mmap file for the current snapshot generation.
-
-        Regenerated per refresh; stale generations are removed eagerly
-        so a long-lived evaluator holds at most one file.
-        """
-        if self._snapshot_file is None:
-            if self._snapshot_dir is None:
-                self._snapshot_dir = tempfile.mkdtemp(prefix="rpq-csr-")
-                self._remove_snapshot_dir = weakref.finalize(
-                    self, shutil.rmtree, self._snapshot_dir, ignore_errors=True
-                )
-            else:
-                for name in os.listdir(self._snapshot_dir):
-                    try:
-                        os.remove(os.path.join(self._snapshot_dir, name))
-                    except OSError:
-                        pass
-            path = os.path.join(
-                self._snapshot_dir, f"gen{self._generation}.csr"
-            )
-            self._snapshot.save(path)
-            self._snapshot_file = path
-        return self._snapshot_file
-
-    def _ensure_pool(self, workers: int):
-        """The evaluator's long-lived pool, spawned on first use, or
-        ``None`` when the host cannot run process pools (restricted
-        sandboxes, missing semaphore support) — the documented cue for
-        the bit-identical sequential fallback."""
         if self._pool is None:
-            try:
-                from concurrent.futures import ProcessPoolExecutor
+            self._pool = ThreadPoolExecutor(
+                max_workers=min(self.workers, self._num_shards)
+            )
+        return list(self._pool.map(sweep, range(self._num_shards)))
 
-                self._pool = ProcessPoolExecutor(max_workers=workers)
-            except (ImportError, NotImplementedError, OSError, PermissionError):
-                return None
-        return self._pool
+    def close(self) -> None:
+        """Release the thread pool (idempotent).
 
-    def _run_pool(self, pool, compiled, windows) -> list[dict[int, int]]:
-        try:
-            path = self._snapshot_path()
-            futures = [
-                pool.submit(
-                    _pool_sweep, path, compiled, lo, hi, self.backend, fail
-                )
-                for lo, hi, fail in windows
-            ]
-            return [
-                future.result(timeout=self.pool_timeout) for future in futures
-            ]
-        except BaseException as exc:
-            # Tear the pool down without waiting on wedged workers, then
-            # surface one clean, typed error.
-            self.close(wait=False)
-            raise ShardedEvaluationError(
-                f"shard sweep failed in the worker pool: {exc!r}"
-            ) from exc
-
-    def close(self, wait: bool = True) -> None:
-        """Release the worker pool and the snapshot file (idempotent).
-
-        Sequential evaluation keeps working after ``close``; the next
-        pooled call simply re-spawns and re-writes.  ``wait=False`` skips
-        joining the workers — used on the failure path, where a worker
-        may be wedged (a worker that has the file mapped keeps its
-        mapping; one that has not fails its already-cancelled task).
+        The evaluator keeps working after ``close``: the next call
+        builds a new pool.
         """
         pool, self._pool = self._pool, None
         if pool is not None:
-            pool.shutdown(wait=wait, cancel_futures=True)
-        if self._remove_snapshot_dir is not None:
-            self._remove_snapshot_dir()
-            self._remove_snapshot_dir = None
-            self._snapshot_dir = None
-            self._snapshot_file = None
+            pool.shutdown(cancel_futures=True)
 
     def __enter__(self) -> "ParallelEvaluator":
         return self

@@ -243,9 +243,7 @@ def load_checkpoint(
             f"({digest} != {meta.get('graph_sha256')})"
         )
     try:
-        # mmap=False: recovery reads the arrays once to rebuild the
-        # store, then the snapshot is garbage — no reason to hold a map.
-        snapshot = CSRSnapshot.load(snapshot_path, mmap=False)
+        snapshot = CSRSnapshot.load(snapshot_path)
     except (ValueError, OSError) as exc:
         raise RecoveryError(f"corrupt snapshot {snapshot_path}: {exc}")
     if snapshot.num_nodes != len(nodes):

@@ -14,14 +14,12 @@ compressed-sparse-row arrays over the dense node ids:
   block rounds consume: one frontier-expansion round OR-gathers, for
   every target node, the mask rows of its in-neighbours.
 
-Snapshots serialize to a single memory-mappable file
-(:meth:`CSRSnapshot.save` / :meth:`CSRSnapshot.load`): a small pickled
-header (labels, shapes, offsets) followed by 64-byte-aligned raw array
-data.  ``load(path, mmap=True)`` returns a snapshot whose arrays are
-read-only views into one :func:`numpy.memmap` — worker processes of
-:class:`~repro.rpq.sharded.ParallelEvaluator` map the same file
-zero-copy on either backend, so shipping a refreshed snapshot costs one
-path string per task.
+Snapshots serialize to a single file (:meth:`CSRSnapshot.save` /
+:meth:`CSRSnapshot.load`): a small pickled header (labels, shapes,
+offsets) followed by 64-byte-aligned raw array data.  Checkpoints
+(:mod:`repro.service.recovery`) are its one user; ``load`` reads the
+file into memory and returns a snapshot whose arrays are read-only
+views into that one buffer.
 
 Node ids beyond the last edge-bearing node are representable by
 construction: ``num_nodes`` is the graph's interning count, not the
@@ -51,8 +49,8 @@ _ALIGN = 64
 
 # Scratch-file serial for atomic saves (unique per process + call, like
 # the plan cache's): a crash mid-write leaves only an orphaned *.tmp,
-# never a truncated snapshot at the published path that lazily-mapping
-# pool workers would mmap and crash on.
+# never a truncated snapshot at the published path that a checkpoint
+# would then name.
 _TMP_SERIAL = itertools.count()
 
 
@@ -278,8 +276,8 @@ class CSRSnapshot:
 
         The read-only twin of :meth:`GraphDB.label_out_index` — all the
         big-int sweep reads of a graph — so
-        ``engine._sweep_to_fixpoint`` runs over a frozen (possibly
-        mmapped) snapshot exactly as it does over the live graph.
+        ``engine._sweep_to_fixpoint`` runs over a frozen snapshot exactly
+        as it does over the live graph.
         """
         index = self._out_index.get(label)
         if index is None:
@@ -307,17 +305,16 @@ class CSRSnapshot:
         return label_csr.out_indices[indptr[node_id] : indptr[node_id + 1]]
 
     # ------------------------------------------------------------------
-    # Serialization (single mmap-able file)
+    # Serialization (single file)
     # ------------------------------------------------------------------
     def save(self, path) -> None:
         """Write the snapshot as ``magic | header | aligned raw arrays``.
 
         Atomic: the payload is staged in a uniquely-named scratch file
         next to ``path`` and published with one ``os.replace``.  Readers
-        (including pool workers lazily mmapping the snapshot mid-refresh)
-        only ever see either the previous complete file or the new
-        complete file — a crash mid-write leaves the destination
-        untouched and at worst orphans a ``*.tmp``.
+        (recovery loading a checkpoint) only ever see either the previous
+        complete file or the new complete file — a crash mid-write leaves
+        the destination untouched and at worst orphans a ``*.tmp``.
         """
         tmp = os.fspath(path) + f".{os.getpid()}.{next(_TMP_SERIAL)}.tmp"
         try:
@@ -369,14 +366,14 @@ class CSRSnapshot:
             handle.truncate(end)
 
     @classmethod
-    def load(cls, path, mmap: bool = True) -> "CSRSnapshot":
-        """Re-open a saved snapshot; ``mmap=True`` maps it zero-copy.
+    def load(cls, path) -> "CSRSnapshot":
+        """Read a saved snapshot into memory.
 
         The file is validated up front — magic bytes, a complete header,
         and enough bytes for every array the manifest promises — so a
         truncated or corrupt file fails here with a clear ``ValueError``
         instead of handing short read-only views to the kernel (which
-        would surface as an index crash deep inside a pool worker).
+        would surface as an index crash deep inside a sweep).
         """
         with open(path, "rb") as handle:
             magic = handle.read(len(_MAGIC))
@@ -415,11 +412,8 @@ class CSRSnapshot:
                 f"truncated CSR snapshot {path!r}: need {required} bytes "
                 f"for the arrays in its manifest, file has {actual_size}"
             )
-        if mmap:
-            raw = np.memmap(path, dtype=np.uint8, mode="r")
-        else:
-            with open(path, "rb") as handle:
-                raw = np.frombuffer(handle.read(), dtype=np.uint8)
+        with open(path, "rb") as handle:
+            raw = np.frombuffer(handle.read(), dtype=np.uint8)
         fields: dict[int, dict[str, np.ndarray]] = {}
         for index, name, dtype_str, shape, data_offset in header["manifest"]:
             dtype = np.dtype(dtype_str)

@@ -1,9 +1,9 @@
-"""CSR snapshots: construction, mmap round-trip, caching, drained stores.
+"""CSR snapshots: construction, file round-trip, caching, drained stores.
 
 The snapshot is the numpy backend's entire view of the graph, so these
 tests pin its contract directly against the live ``GraphDB`` indexes:
 every adjacency list survives the freeze, the on-disk format round-trips
-byte-for-byte (mmap and in-memory alike), ``mutation_count`` caching
+byte-for-byte, ``mutation_count`` caching
 never serves a stale snapshot, and stores whose interned node count
 exceeds their live label domain (drained stores) keep full-width
 snapshots with empty rows rather than shifted ids.
@@ -55,7 +55,7 @@ class TestFromGraph:
 
     def test_label_out_index_mirrors_the_live_index(self, tmp_path):
         """The view the big-int sweep reads: same keys, same targets as
-        ``GraphDB.label_out_index`` — in memory and through an mmap —
+        ``GraphDB.label_out_index`` — fresh and through a file round-trip —
         and empty (not a KeyError) for a label the graph never had."""
         db = random_graph(random.Random(5), 40, ["a", "b", "c"], 160)
         snapshot = CSRSnapshot.from_graph(db)
@@ -105,13 +105,12 @@ class TestSaveLoad:
     def _graph(self):
         return random_graph(random.Random(2), 90, ["a", "b", "c"], 400)
 
-    @pytest.mark.parametrize("mmap", [False, True])
-    def test_round_trip(self, tmp_path, mmap):
+    def test_round_trip(self, tmp_path):
         db = self._graph()
         snapshot = CSRSnapshot.from_graph(db)
         path = tmp_path / "graph.csr"
         snapshot.save(path)
-        loaded = CSRSnapshot.load(path, mmap=mmap)
+        loaded = CSRSnapshot.load(path)
         assert loaded.num_nodes == snapshot.num_nodes
         assert loaded.num_edges == snapshot.num_edges
         assert loaded.labels == snapshot.labels
@@ -127,7 +126,7 @@ class TestSaveLoad:
         snapshot = CSRSnapshot.from_graph(db)
         path = tmp_path / "graph.csr"
         snapshot.save(path)
-        loaded = CSRSnapshot.load(path, mmap=True)
+        loaded = CSRSnapshot.load(path)
         for expr in ["a", "a.b", "(a+b)*", "a.(b+c)*.a"]:
             compiled = compiled_for(db, expr)
             assert id_pairs(kernel_mod.all_pairs_ids(loaded, compiled)) == id_pairs(
@@ -144,7 +143,7 @@ class TestSaveLoad:
         snapshot = CSRSnapshot.from_graph(GraphDB())
         path = tmp_path / "empty.csr"
         snapshot.save(path)
-        loaded = CSRSnapshot.load(path, mmap=True)
+        loaded = CSRSnapshot.load(path)
         assert loaded.num_nodes == 0
         assert loaded.labels == ()
 
@@ -155,8 +154,8 @@ class TestDurability:
     The defects: ``save`` wrote directly to the destination path, so a
     crash mid-write left a truncated file at the *published* name; and
     ``load`` trusted the manifest without checking the file actually
-    holds the bytes it promises, so a lazily-mapping pool worker got
-    short read-only views and crashed deep inside the kernel.  Now
+    holds the bytes it promises, so a short file became short
+    read-only views and crashed deep inside the kernel.  Now
     ``save`` stages through a unique scratch file and publishes with one
     ``os.replace``, and ``load`` rejects bad magic / short headers /
     missing array bytes with a clear ``ValueError`` up front.
@@ -166,8 +165,7 @@ class TestDurability:
         db = random_graph(random.Random(11), 60, ["a", "b"], 250)
         return CSRSnapshot.from_graph(db)
 
-    @pytest.mark.parametrize("mmap", [False, True])
-    def test_truncated_array_data_rejected(self, tmp_path, mmap):
+    def test_truncated_array_data_rejected(self, tmp_path):
         snapshot = self._snapshot()
         path = tmp_path / "graph.csr"
         snapshot.save(path)
@@ -176,7 +174,7 @@ class TestDurability:
         # manifest promises more bytes than the file holds.
         path.write_bytes(full[: len(full) - 128])
         with pytest.raises(ValueError, match="truncated"):
-            CSRSnapshot.load(path, mmap=mmap)
+            CSRSnapshot.load(path)
 
     def test_truncated_header_rejected(self, tmp_path):
         snapshot = self._snapshot()
@@ -230,7 +228,7 @@ class TestDurability:
         leftovers = [p for p in tmp_path.iterdir() if p.name != "graph.csr"]
         assert leftovers == [], f"crashed save left scratch files: {leftovers}"
         # The survivor still loads and evaluates.
-        CSRSnapshot.load(path, mmap=True)
+        CSRSnapshot.load(path)
 
     def test_save_publishes_through_unique_scratch_names(
         self, tmp_path, monkeypatch

@@ -176,7 +176,8 @@ class TestEntryPointParity:
 
 
 class TestWorkerPool:
-    """The pooled numpy path (mmap snapshot shipping) stays bit-identical."""
+    """The numpy windows on a thread pool, all reading one in-memory
+    snapshot, stay bit-identical."""
 
     def test_pool_matches_sequential(self):
         graph = make_graph("grid", 5, edges=60)
@@ -185,7 +186,7 @@ class TestWorkerPool:
         expected = engine_mod.evaluate_all_sorted(graph, compiled)
         with ParallelEvaluator(graph, 4, workers=2, backend="numpy") as ev:
             assert ev.evaluate_all_sorted(compiled) == expected
-            # Again, through the now-warm worker snapshot cache.
+            # Again, over the gather plans the first call memoized.
             assert ev.evaluate_all_sorted(compiled) == expected
 
     def test_pool_survives_refresh(self):

@@ -2,13 +2,12 @@
 
 Before the fix, every ``refresh()`` call rebuilt the partition and
 bumped the snapshot generation even when the graph had not changed at
-all — so a session refreshing on every store-version bump (the
-documented usage) forced the next pooled sweep to re-write and re-ship
-a byte-identical snapshot to every worker.  ``refresh()`` now consults
+all — so a caller refreshing on every store-version bump (the
+documented usage) threw away a byte-identical snapshot and everything
+memoized on it.  ``refresh()`` now consults
 :attr:`~repro.rpq.graphdb.GraphDB.mutation_count` (which only moves on
 *effective* mutations) and returns early: the generation, the snapshot
-object, the file pool workers have mapped, and the worker pool all
-survive.
+object and the thread pool all survive.
 """
 
 import pytest
@@ -87,24 +86,6 @@ class TestNoOpRefresh:
 
 
 class TestPayloadReuse:
-    def test_snapshot_file_survives_noop_refresh(self):
-        """The snapshot file pool tasks name (and workers have mapped)
-        must not be re-written by a refresh that changed nothing."""
-        db = _graph()
-        compiled = _compiled(db)
-        with ParallelEvaluator(db, 4, workers=2) as ev:
-            ev.evaluate_all_sorted(compiled)
-            if ev._pool is None:
-                pytest.skip("host cannot spawn process pools")
-            path = ev._snapshot_file
-            assert path is not None
-            ev.refresh()  # no-op: must keep the file tasks carry
-            assert ev._snapshot_path() == path
-            db.add_edge("n1", "b", "n20")
-            ev.refresh()  # effective: the next pooled sweep names a new one
-            assert ev._snapshot_file is None
-            assert ev._snapshot_path() != path
-
     def test_pool_identity_survives_refresh(self):
         db = _graph()
         compiled = _compiled(db)

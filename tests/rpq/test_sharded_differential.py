@@ -108,7 +108,7 @@ def test_single_pair_identical_across_shard_counts(case, num_shards):
     num_shards=st.sampled_from((2, 3)),
 )
 def test_pool_workers_match_sequential_fallback(case, num_shards):
-    """Process-pool execution is bit-identical to the sequential path."""
+    """Two threads sweeping the windows answer bit-identically to one."""
     _family, db, query = case
     compiled = compiled_for(db, query)
     sequential = ParallelEvaluator(db, num_shards=num_shards, workers=1)

@@ -1,17 +1,16 @@
-"""Window invariants, the worker-pool path, and crash recovery.
+"""Window invariants, the thread pool, and the fault contract.
 
 The differential harness (``test_sharded_differential``) pins answer
 equality; this file pins the machinery around it: that the source
 windows are a true partition of the all-pairs answer (each window
-answers exactly the pairs whose source it owns), that the process-pool
-path is exercised end to end, that a worker dying mid-sweep surfaces one
-clean :class:`ShardedEvaluationError` — promptly, with the pool torn
-down — rather than a hang or a half answer, and that no evaluator leaves
-its snapshot file behind.
+answers exactly the pairs whose source it owns), that threads sweeping
+windows concurrently over one in-memory snapshot answer exactly, and
+that a window failing mid-sweep surfaces one clean
+:class:`ShardedEvaluationError` naming its source range — rather than a
+hang or a half answer — and leaves the evaluator and its pool usable.
 """
 
-import gc
-import tempfile
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -119,7 +118,7 @@ def test_invalid_shard_and_worker_counts_rejected():
 
 
 # ----------------------------------------------------------------------
-# The worker-pool path
+# The thread pool
 # ----------------------------------------------------------------------
 
 
@@ -136,8 +135,8 @@ def test_pool_matches_sequential_on_every_family():
 
 
 def test_workers_capped_by_shard_count_single_shard_stays_sequential():
-    """workers > shards never spawns more processes than shards; one
-    shard runs inline (the pool would be pure overhead)."""
+    """workers > shards never starts more threads than shards: one
+    shard runs on one thread."""
     db = make_graph("grid", seed=2, edges=40)
     compiled = compiled_for(db, "r.d")
     evaluator = ParallelEvaluator(db, num_shards=1, workers=8)
@@ -147,14 +146,14 @@ def test_workers_capped_by_shard_count_single_shard_stays_sequential():
 
 
 # ----------------------------------------------------------------------
-# Crash recovery
+# The fault contract
 # ----------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("workers", [1, 2], ids=["sequential", "pool"])
 def test_worker_fault_surfaces_clean_typed_error(workers):
-    """A worker raising mid-sweep becomes ShardedEvaluationError on both
-    execution paths — no hang, no partial answer, pool torn down."""
+    """A window raising mid-sweep becomes ShardedEvaluationError for one
+    thread and for several — no hang, no partial answer."""
     db = make_graph("layered_dag", seed=8, edges=60)
     compiled = compiled_for(db, "a.b")
     evaluator = ParallelEvaluator(
@@ -166,8 +165,9 @@ def test_worker_fault_surfaces_clean_typed_error(workers):
 
 
 def test_pool_is_reused_across_calls_and_released_by_close():
-    """One evaluator = one pool: repeated queries must not re-spawn
-    workers, and close() must release them (sequential still works)."""
+    """One evaluator = one pool: repeated queries must not start new
+    threads, and close() must release them (the next call builds a new
+    pool)."""
     db = make_graph("grid", seed=4, edges=80)
     first = compiled_for(db, "r.d")
     second = compiled_for(db, "d.d")
@@ -178,7 +178,7 @@ def test_pool_is_reused_across_calls_and_released_by_close():
         evaluator.evaluate_all(second)
         assert evaluator._pool is pool  # same pool, no re-spawn
     assert evaluator._pool is None  # context exit closed it
-    # Still answers correctly after close (sequential, then re-spawned).
+    # Still answers correctly after close, on a new pool.
     assert evaluator.evaluate_all_sorted(
         first
     ) == engine_mod.evaluate_all_sorted(db, first)
@@ -196,44 +196,52 @@ def test_fresh_evaluator_recovers_after_a_fault():
     ) == engine_mod.evaluate_all_sorted(db, compiled)
 
 
-# ----------------------------------------------------------------------
-# Snapshot files never outlive their evaluator
-# ----------------------------------------------------------------------
+@pytest.fixture
+def short_switch_interval():
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(previous)
 
 
-def test_snapshot_dir_removed_on_drop_and_on_worker_fault(tmp_path, monkeypatch):
-    """Regression: a pooled evaluator dropped without ``close()`` used to
-    leave its ``rpq-csr-*`` directory (and ``gen<N>.csr``) behind, and a
-    worker fault kept them until a later explicit ``close()``."""
-    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+@pytest.mark.parametrize("backend", ["bigint", "numpy"])
+@pytest.mark.parametrize("family", ["grid", "scale_free"])
+def test_threads_share_one_snapshot(family, backend, short_switch_interval):
+    """Four threads sweep seven windows over one fresh snapshot, so they
+    fill its gather plans, adjacency bitmaps and ``label_out_index``
+    memos concurrently (with a short switch interval, so they interleave
+    often); answers stay byte-identical to the engine's, before and
+    after a refresh.  A failing window then raises without costing the
+    evaluator its pool."""
+    db = make_graph(family, seed=12, edges=300)
+    query = make_queries(family, seed=12, count=1)[0]
+    compiled = compiled_for(db, query)
+    nodes = sorted(db.nodes, key=db.node_id)
+    label = sorted(db.domain())[0]
 
-    def leftovers():
-        return sorted(path.name for path in tmp_path.glob("rpq-csr-*"))
+    def expected():
+        return answer_bytes(engine_mod.evaluate_all_sorted(db, compiled))
 
-    db = make_graph("grid", seed=9, edges=60)
-    compiled = compiled_for(db, "r.d")
-    evaluator = ParallelEvaluator(db, num_shards=4, workers=2)
-    evaluator.evaluate_all(compiled)
-    if evaluator._pool is None:
-        pytest.skip("host cannot spawn process pools: no snapshot file is written")
-    (snapshot_dir,) = leftovers()
-    assert [path.name for path in (tmp_path / snapshot_dir).iterdir()] == ["gen0.csr"]
-    db.add_edge("n0", "r", "n5")
-    evaluator.refresh()
-    evaluator.evaluate_all(compiled)
-    # One file per evaluator: the stale generation went when the new one
-    # was written.
-    assert [path.name for path in (tmp_path / snapshot_dir).iterdir()] == ["gen1.csr"]
-    del evaluator
-    gc.collect()
-    assert leftovers() == []
+    with ParallelEvaluator(db, num_shards=7, workers=4, backend=backend) as ev:
+        snapshot = ev._snapshot
+        assert not (snapshot._plans or snapshot._bitmaps or snapshot._out_index)
+        assert answer_bytes(ev.evaluate_all_sorted(compiled)) == expected()
+        assert ev._pool._max_workers == 4
+        db.add_edge(nodes[-1], label, nodes[0])
+        ev.refresh()
+        assert ev.generation == 1 and ev._snapshot is not snapshot
+        assert answer_bytes(ev.evaluate_all_sorted(compiled)) == expected()
 
-    faulty = ParallelEvaluator(db, num_shards=4, workers=2, _fail_shards=[1])
-    with pytest.raises(ShardedEvaluationError):
-        faulty.evaluate_all(compiled)
-    assert leftovers() == []  # no close() needed after a failed sweep
-
-    with ParallelEvaluator(db, num_shards=4, workers=2) as closed:
-        closed.evaluate_all(compiled)
-        assert len(leftovers()) == 1
-    assert leftovers() == []
+    bounds = shard_bounds(db.num_nodes, 7)
+    with ParallelEvaluator(
+        db, num_shards=7, workers=4, backend=backend, _fail_shards=[1]
+    ) as faulty:
+        with pytest.raises(ShardedEvaluationError) as excinfo:
+            faulty.evaluate_all_sorted(compiled)
+        assert f"sources [{bounds[1]}, {bounds[2]})" in str(excinfo.value)
+        pool = faulty._pool
+        faulty._fail_shards = frozenset()
+        assert answer_bytes(faulty.evaluate_all_sorted(compiled)) == expected()
+        assert faulty._pool is pool

@@ -424,12 +424,12 @@ class TestParallelism:
 
     def test_pool_survives_version_bumps(self, session, store):
         """A trickle of single-tuple updates is patched into the session's
-        state; an evaluator refreshed beside it keeps its worker pool."""
+        state; an evaluator refreshed beside it keeps its thread pool."""
         compiled = session._compiled(session._plan_entry("a.b")[1][1])
         with ParallelEvaluator(store.graph, num_shards=3, workers=2) as evaluator:
             assert evaluator.evaluate_all(compiled) == session.answer("a.b")
             pool = evaluator._pool
-            assert pool is not None  # this suite runs where pools spawn
+            assert pool is not None  # built by the first call
             expected = {("u", "z"), ("w", "z")}
             for i in range(3):
                 store.add("q1", f"extra{i}", "v")
@@ -458,9 +458,9 @@ class TestParallelism:
     def test_worker_fault_falls_back_and_session_stays_usable(
         self, session, store
     ):
-        """A worker dying mid-sweep (through a real process pool) fails
-        the evaluator with its typed error; the session over the same
-        store answers every request shape regardless."""
+        """A window failing mid-sweep on a two-thread pool fails the
+        evaluator with its typed error; the session over the same store
+        answers every request shape regardless."""
         compiled = session._compiled(session._plan_entry("a.b")[1][1])
         evaluator = ParallelEvaluator(
             store.graph, num_shards=3, workers=2, _fail_shards=[1]
@@ -474,8 +474,8 @@ class TestParallelism:
     def test_sequential_path_fault_also_degrades(
         self, session, store, monkeypatch
     ):
-        """A broken sequential window sweep fails the evaluator but never
-        runs under a session."""
+        """A broken window sweep on a one-thread pool fails the evaluator
+        but never runs under a session."""
 
         def boom(*args, **kwargs):
             raise RuntimeError("kernel bug")
