@@ -36,6 +36,11 @@ cell: grid big-int 0.155 -> 0.038s, numpy 0.027 -> 0.017s (5.6x ->
 With key-form settled sets (same machine, big-int 0.042-0.065s and
 0.012-0.017s): grid numpy 0.010-0.011 -> 0.004-0.006s (3.8-5.6x ->
 10.2-11.7x), scale_free 0.006-0.007 -> 0.003-0.004s (1.9-2.5x -> 4.1-5.0x).
+Since the kernel picks a sweep direction, the gate query runs backward:
+the reversed ``a.a.b`` seeds the 16 ``b`` targets, one block column,
+instead of all 1500 sources in 24.  Two alternated runs a side (2-vCPU
+Xeon VM): numpy 0.096-0.097 -> 0.016-0.020s, big-int 0.93-1.61s, so
+9.7-9.8x -> 61.7-79.0x.  ``GATE_RATIO`` stays 7x.
 """
 
 import random

@@ -20,8 +20,8 @@ what lets the load generator's single-threaded oracle replay
 (:func:`repro.service.loadgen.replay_oracle`) check every served answer
 byte for byte.
 
-**A non-blocking event loop.**  Sweeps — full, sharded, or incremental
-— run on tenant threads via ``run_in_executor``; the loop only parses,
+**A non-blocking event loop.**  Sweeps — full or incremental — run on
+tenant threads via ``run_in_executor``; the loop only parses,
 validates, routes, and serializes small payloads.  The one large body,
 an all-pairs answer, leaves :meth:`Tenant.run_query` already encoded:
 the tenant keeps, per query, the body at the version it was built for
@@ -42,9 +42,8 @@ between, so admission is atomic without locks.
 Writes funnel through the store's tuple-level mutations and hence
 through the bounded change log, keeping every tenant on the session's
 incremental fast path (semi-naive insert resume + delete-rederive);
-only a compacted-away log falls back to a full recompute, and a worker
-failure inside a sharded sweep degrades that tenant to sequential
-evaluation — both are service-level non-events, not errors.
+only a compacted-away log falls back to a full recompute, a
+service-level non-event, not an error.
 
 **Durability** is opt-in via ``data_dir``: each tenant then owns a
 subdirectory with a write-ahead log and rolling checkpoints

@@ -13,6 +13,8 @@ compressed-sparse-row arrays over the dense node ids:
   ``label``-edges entering ``v``.  This is the orientation the kernel's
   block rounds consume: one frontier-expansion round OR-gathers, for
   every target node, the mask rows of its in-neighbours.
+  :meth:`CSRSnapshot.reversed` swaps the two, no copy: the kernel's
+  backward sweeps run on the edge-reversed graph's snapshot.
 
 Snapshots serialize to a single file (:meth:`CSRSnapshot.save` /
 :meth:`CSRSnapshot.load`): a small pickled header (labels, shapes,
@@ -35,6 +37,7 @@ import contextlib
 import itertools
 import os
 import pickle
+import weakref
 from typing import Hashable, TYPE_CHECKING
 
 import numpy as np
@@ -156,6 +159,8 @@ class CSRSnapshot:
         "_plans",
         "_bitmaps",
         "_out_index",
+        "_flip",
+        "__weakref__",
     )
 
     def __init__(
@@ -172,6 +177,7 @@ class CSRSnapshot:
         self._plans: dict[Hashable, _GatherPlan] = {}
         self._bitmaps: dict[tuple, np.ndarray] = {}
         self._out_index: dict[Hashable, dict[int, list[int]]] = {}
+        self._flip: "CSRSnapshot | weakref.ref | None" = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -270,6 +276,21 @@ class CSRSnapshot:
             bitmap.reshape(-1)[words] = values
         self._bitmaps[key] = bitmap
         return bitmap
+
+    def reversed(self) -> "CSRSnapshot":
+        """The edge-reversed graph's snapshot, memoized: out and in arrays
+        swap roles, shared, and the view memoizes its own plans and
+        bitmaps.  ``reversed()`` of the view is ``self``, held weakly so
+        the pair is no reference cycle outliving its graph version."""
+        flip = self._flip() if isinstance(self._flip, weakref.ref) else self._flip
+        if flip is None:
+            by_label = {
+                label: _LabelCSR(c.in_indptr, c.in_indices, c.out_indptr, c.out_indices)
+                for label, c in self._by_label.items()
+            }
+            flip = CSRSnapshot(self.num_nodes, self.num_edges, self.labels, by_label)
+            flip._flip, self._flip = weakref.ref(self), flip
+        return flip
 
     def label_out_index(self, label: Hashable) -> dict[int, list[int]]:
         """``source_id -> target ids`` for one label, memoized.

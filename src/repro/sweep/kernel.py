@@ -68,6 +68,21 @@ not narrowed: spreading bits back to ``(n, B)`` measured 1.0 ms a view
 on the 129-state ``Ad`` of the k = 7 blow-up query, more than the
 narrower sweep saved there (2.4 -> 0.9 ms).
 
+**Direction.**  A path query can be swept from either end: the reversed
+automaton over :meth:`CSRSnapshot.reversed` (in and out arrays swapped,
+no copy) seeds the *targets* and finds the same pairs.
+:func:`_backward_pays` reads CSR sizes only.  Epsilon-accepting automata
+and a first round (the initial rows' edge counts) that fits in ``n * B``
+stay forward: pair rounds already cost what the frontier costs.
+Otherwise each direction costs ``blocks_for(live)`` times the edge
+counts of its non-initial rows; backward must cost under half.
+``a.a.b`` on ``sweep_dense``'s 500 nodes seeds 500 sources and gathers
+the 172k ``a`` edges at 8 words a row forward, but 16 ``b`` targets and
+those edges twice at one word backward: 8.5 -> 2.5 ms best of 11, and
+the workload 380 -> 594 ops/s (2-vCPU Xeon VM, ``BENCH_36.json``); no
+other suite query turns.  Backward bit keys ascend by (row, column),
+(source, target) order, so that decode skips the transposing sort.
+
 **Decode.**  The answer is the epsilon diagonal plus the final states'
 settled bits.  A sweep that ends with keyed sets decodes those keys: one
 sort of the transposed ``column * n + target`` and a dedup (two final
@@ -247,7 +262,7 @@ def sweep_window(
     reached_out: dict | None = None,
     sources: np.ndarray | None = None,
     live: np.ndarray | None = None,
-) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Sweep sources in ``[lo, hi)``; return the answer block matrix.
 
     Row ``t`` of the result holds one bit per window source: bit ``j``
@@ -264,8 +279,8 @@ def sweep_window(
     caller gets the contiguous layout documented above, unchanged.
     ``live`` (kernel-internal, :func:`all_pairs_ids` only: the ids it
     scanned for an out-edge matching an initial state's row) seeds a lone
-    initial state without a rescan and asks for the answer as
-    :func:`decode_matrix`'s ``(sources, targets)`` arrays instead.
+    initial state without a rescan and asks for the answer as the final
+    states' unsorted bit keys, repeats and all, while they are keyed.
 
     Settled sets are key arrays until the key bound or the hand-over
     (module docstring); the matrices a caller gets are built when the
@@ -325,18 +340,7 @@ def sweep_window(
         reached_out.update(reached.to_matrices())
     epsilon = compiled.accepts_epsilon
     diagonal = sources * stride + np.arange(width) if epsilon else _NO_KEYS
-    answers = _answer(reached, compiled.finals, diagonal, live is None)
-    del reached  # the decode runs without the settled matrices
-    if live is None:
-        return answers
-    if answers.ndim == 2:
-        columns, targets = decode_matrix(answers, width)
-    else:  # sort the transposed keys; a dedup drops keys two final states settled
-        targets, columns = np.divmod(answers, stride)
-        columns, targets = np.divmod(
-            _sorted_unique(columns * num_nodes + targets), num_nodes
-        )
-    return sources[columns], targets
+    return _answer(reached, compiled.finals, diagonal, live is None)
 
 
 def _answer(reached: _Settled, finals, diagonal: np.ndarray, as_matrix: bool):
@@ -506,25 +510,71 @@ def decode_masks(
     return sources, np.array([target for target, _ in kept], dtype=np.int64)[rows]
 
 
+def _columns(snapshot, compiled) -> tuple[np.ndarray, np.ndarray | None]:
+    """The live ids of a sweep and its column sources: ``live`` when they
+    fill at most half the blocks of the whole graph, else ``None`` (the
+    full layout; module docstring, *Columns*)."""
+    num_nodes = snapshot.num_nodes
+    first_labels = {
+        label for state in compiled.initials for label in compiled.table.get(state, ())
+    }
+    live = _seed_columns(snapshot, first_labels, np.arange(num_nodes, dtype=np.int64))
+    wide = compiled.accepts_epsilon or 2 * blocks_for(live.size) > blocks_for(num_nodes)
+    return live, None if wide else live
+
+
+def _backward_pays(snapshot, compiled, live: np.ndarray) -> bool:
+    """The direction decision, read from CSR sizes before any sweep work
+    (module docstring, *Direction*); ``live`` is the forward sweep's."""
+    if compiled.accepts_epsilon:
+        return False
+
+    def edges(automaton, initial: bool) -> int:
+        """Σ |E_label| over the rows of the initial (or the other) states."""
+        return sum(
+            csr.out_indices.size
+            for state, row in automaton.table.items()
+            if (state in automaton.initials) == initial
+            for label in row
+            if (csr := snapshot.label_csr(label)) is not None
+        )
+
+    forward_blocks = blocks_for(live.size)
+    if edges(compiled, True) <= snapshot.num_nodes * forward_blocks:
+        return False  # the first round is a pair round
+    flipped = compiled.reversed()
+    backward_blocks = blocks_for(_columns(snapshot.reversed(), flipped)[0].size)
+    return 2 * backward_blocks * edges(flipped, False) < forward_blocks * edges(
+        compiled, False
+    )
+
+
 def all_pairs_ids(
     snapshot: CSRSnapshot, compiled: "CompiledAutomaton"
 ) -> tuple[np.ndarray, np.ndarray]:
     """The full all-pairs sweep, decoded to ``(sources, targets)`` dense-id
     arrays in ``(source, target)`` order.
 
-    Columns go to the *live* sources only — the ids with an out-edge
-    matching an initial state's row — when they fill at most half the
-    blocks of the whole graph (module docstring, *Columns*); ``live``
-    ascends, so ``live[column]`` keeps :func:`decode_matrix`'s order.
-    An automaton that accepts the empty word is not narrowed: its answer
-    holds the diagonal of *every* node, live or not.
+    Columns go to the live sources (targets, when :func:`_backward_pays`)
+    only when they fill at most half the blocks: module docstring,
+    *Columns* and *Direction*.
     """
+    live, sources = _columns(snapshot, compiled)
+    backward = _backward_pays(snapshot, compiled, live)
+    if backward:
+        snapshot, compiled = snapshot.reversed(), compiled.reversed()
+        live, sources = _columns(snapshot, compiled)
+    answers = sweep_window(snapshot, compiled, sources=sources, live=live)
     num_nodes = snapshot.num_nodes
-    first_labels = {
-        label for state in compiled.initials for label in compiled.table.get(state, ())
-    }
-    live = _seed_columns(
-        snapshot, first_labels, np.arange(num_nodes, dtype=np.int64)
-    )
-    wide = compiled.accepts_epsilon or 2 * blocks_for(live.size) > blocks_for(num_nodes)
-    return sweep_window(snapshot, compiled, sources=None if wide else live, live=live)
+    width = num_nodes if sources is None else sources.size
+    if backward:  # bit keys ascend by (row, column), (source, target) order
+        keys = _unpack_keys(answers) if answers.ndim == 2 else _sorted_unique(answers)
+        rows, columns = np.divmod(keys, blocks_for(width) << 6)
+    elif answers.ndim == 2:
+        columns, rows = decode_matrix(answers, width)
+    else:  # sort the transposed keys; a dedup drops keys two final states settled
+        rows, columns = np.divmod(answers, blocks_for(width) << 6)
+        columns, rows = np.divmod(_sorted_unique(columns * num_nodes + rows), num_nodes)
+    if sources is not None:
+        columns = sources[columns]
+    return (rows, columns) if backward else (columns, rows)

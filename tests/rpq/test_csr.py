@@ -10,6 +10,7 @@ snapshots with empty rows rather than shifted ids.
 """
 
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -146,6 +147,88 @@ class TestSaveLoad:
         loaded = CSRSnapshot.load(path)
         assert loaded.num_nodes == 0
         assert loaded.labels == ()
+
+
+class TestReversed:
+    """``CSRSnapshot.reversed()``: the snapshot of the edge-reversed graph,
+    sharing the arrays, memoizing its own plans and bitmaps."""
+
+    def _graph(self):
+        db = random_graph(random.Random(4), 90, ["a", "b"], 500)
+        order = list(range(db.num_nodes))
+        random.Random(4).shuffle(order)
+        for v, w in enumerate(order):  # every node one ``p`` in-neighbour
+            db.add_edge(db.node_at(v), "p", db.node_at(w))
+        return db
+
+    @staticmethod
+    def _edge_reversed(db):
+        nodes = [db.node_at(v) for v in range(db.num_nodes)]
+        edges = [(y, label, x) for x, label, y in db.to_triples()]
+        flipped = GraphDB(edges, nodes=nodes)
+        assert [flipped.node_id(node) for node in nodes] == list(range(db.num_nodes))
+        return flipped.to_csr()
+
+    @staticmethod
+    def _assert_views_equal(view, expected):
+        assert (view.num_nodes, view.num_edges, view.labels) == (
+            expected.num_nodes, expected.num_edges, expected.labels
+        )
+        for label in expected.labels:
+            ours, theirs = view.gather_plan(label), expected.gather_plan(label)
+            assert (ours.function is None) == (theirs.function is None)
+            if ours.function is not None:
+                assert np.array_equal(ours.function, theirs.function)
+            assert len(ours.spans) == len(theirs.spans)
+            for (dsts, idx), (their_dsts, their_idx) in zip(ours.spans, theirs.spans):
+                assert np.array_equal(dsts, their_dsts)
+                assert np.array_equal(idx, their_idx)
+            for lo, hi in [(0, view.num_nodes), (13, 66), (64, view.num_nodes)]:
+                assert np.array_equal(
+                    view.adjacency_bitmap(label, lo, hi),
+                    expected.adjacency_bitmap(label, lo, hi),
+                )
+            assert view.label_out_index(label) == expected.label_out_index(label)
+
+    def test_involution_returns_the_same_object(self):
+        snapshot = self._graph().to_csr()
+        flipped = snapshot.reversed()
+        assert flipped is not snapshot
+        assert snapshot.reversed() is flipped
+        assert flipped.reversed() is snapshot
+        assert flipped.reversed().reversed() is flipped
+
+    def test_arrays_are_shared_not_copied(self):
+        snapshot = self._graph().to_csr()
+        flipped = snapshot.reversed()
+        for label in snapshot.labels:
+            ours, theirs = flipped.label_csr(label), snapshot.label_csr(label)
+            assert np.shares_memory(ours.out_indptr, theirs.in_indptr)
+            assert np.shares_memory(ours.out_indices, theirs.in_indices)
+            assert np.shares_memory(ours.in_indptr, theirs.out_indptr)
+            assert np.shares_memory(ours.in_indices, theirs.out_indices)
+
+    def test_plans_and_bitmaps_are_the_edge_reversed_graphs(self):
+        db = self._graph()
+        snapshot = db.to_csr()
+        snapshot.gather_plan("a")  # the original's memo is not the view's
+        flipped = snapshot.reversed()
+        self._assert_views_equal(flipped, self._edge_reversed(db))
+        assert flipped.gather_plan("a") is not snapshot.gather_plan("a")
+        self._assert_views_equal(flipped.reversed(), db.to_csr())
+
+    def test_loaded_snapshot_flips(self, tmp_path):
+        db = self._graph()
+        path = tmp_path / "graph.csr"
+        db.to_csr().save(path)
+        loaded = CSRSnapshot.load(path)
+        self._assert_views_equal(loaded.reversed(), self._edge_reversed(db))
+        assert loaded.reversed().reversed() is loaded
+        for expr in ["a.a.b", "b.p*", "(a+b).p"]:
+            compiled = compiled_for(db, expr, labels=("a", "b", "p"))
+            expected = id_pairs(engine_mod._all_pairs_ids(db, compiled, "bigint"))
+            with mock.patch.object(kernel_mod, "_backward_pays", lambda *_: True):
+                assert id_pairs(kernel_mod.all_pairs_ids(loaded, compiled)) == expected
 
 
 class TestDurability:

@@ -650,7 +650,8 @@ class TestNarrowColumns:
 # ----------------------------------------------------------------------
 # Key-form settled sets: pair rounds keep each state's settled bits as a
 # sorted key array until the key bound or the hand-over; whichever way a
-# sweep ends, ``all_pairs_ids`` must be the big-int list.
+# sweep ends, and forward or backward, ``all_pairs_ids`` must be the
+# big-int list.
 # ----------------------------------------------------------------------
 
 
@@ -714,17 +715,88 @@ def key_form_cases(draw):
     return graph, compiled, draw(st.integers(min_value=1, max_value=4))
 
 
+def _always_backward(*_args):
+    return True
+
+
+def _never_backward(*_args):
+    return False
+
+
 @settings(max_examples=120, deadline=None)
 @given(case=key_form_cases())
 def test_all_pairs_ids_is_bigint_under_every_round_and_key_rule(case):
+    """The big-int list whichever way the sweep ends and whichever end it
+    starts from: ``_backward_pays`` as it is, always and never."""
     graph, compiled, rounds = case
     expected = id_pairs(engine_mod._all_pairs_ids(graph, compiled, "bigint"))
     snapshot = graph.to_csr()
-    for decide, fit in _round_and_key_rules(rounds):
-        with mock.patch.object(kernel_mod, "_pair_round_pays", decide), mock.patch.object(
-            kernel_mod, "_keys_fit", fit
+    for direction in (kernel_mod._backward_pays, _always_backward, _never_backward):
+        for decide, fit in _round_and_key_rules(rounds):
+            rules = {"_pair_round_pays": decide, "_keys_fit": fit}
+            with mock.patch.multiple(kernel_mod, _backward_pays=direction, **rules):
+                got = kernel_mod.all_pairs_ids(snapshot, compiled)
+            assert id_pairs(got) == expected
+
+
+# ----------------------------------------------------------------------
+# Direction: the rule turns a sweep whose first label is saturated and
+# whose last is rare, and leaves every other suite shape forward.
+# ----------------------------------------------------------------------
+
+
+def _saturated_graph(num_nodes=320, fringe=16, seed=0):
+    """A saturated ``a`` relation (a quarter of all pairs) plus ``fringe``
+    random ``b`` edges: ``sweep_dense``'s shape at a test's size."""
+    rng = random.Random(seed)
+    db = GraphDB(nodes=[f"n{i}" for i in range(num_nodes)])
+    for v in range(num_nodes):
+        for w in rng.sample(range(num_nodes), num_nodes // 4):
+            db.add_edge(f"n{v}", "a", f"n{w}")
+    while len(db.label_out_index("b")) < fringe:
+        db.add_edge(f"n{rng.randrange(num_nodes)}", "b", f"n{rng.randrange(num_nodes)}")
+    return db
+
+
+def _directions(db, query):
+    """The rule's decisions for one ``all_pairs_ids`` call, whose answer
+    must be the big-int list."""
+    compiled = compiled_for(db, query)
+    decisions = []
+    with mock.patch.object(
+        kernel_mod, "_backward_pays", _recording(kernel_mod._backward_pays, decisions)
+    ):
+        got = id_pairs(kernel_mod.all_pairs_ids(db.to_csr(), compiled))
+    assert got == id_pairs(engine_mod._all_pairs_ids(db, compiled, "bigint"))
+    return decisions
+
+
+class TestDirectionRule:
+    def test_saturated_prefix_sweeps_backward(self):
+        """``a.a.b`` seeds every node forward and gathers the ``a`` edges
+        at five words a row; backward it seeds the ``b`` targets, one
+        block, and gathers them twice at one word a row."""
+        db = _saturated_graph()
+        assert _directions(db, "a.a.b") == [True]
+
+    @pytest.mark.parametrize("query", ["a.b", "b.a*", "b.a.a"])
+    def test_rare_prefix_or_cheap_tail_stays_forward(self, query):
+        assert _directions(_saturated_graph(), query) == [False]
+
+    def test_epsilon_accepting_query_stays_forward(self):
+        assert _directions(_saturated_graph(), "(a.a.b)*") == [False]
+
+    @pytest.mark.parametrize("family", ["grid", "scale_free", "layered_dag"])
+    def test_sparse_bounded_templates_stay_forward(self, family):
+        """The first round of every bounded template fits in pair rounds
+        on the 9 000-edge graphs (``sweep_sparse``'s cells)."""
+        db = make_graph(family, 20260928, edges=9_000)
+        x, y, z = (sorted(db.domain(), reverse=True) * 3)[:3]
+        for query in (
+            f"{x}", f"{x}.{y}", f"{x}.{y}.{z}", f"({x}+{y}).{z}",
+            f"{x}.({y}+{z})", f"({x}+{y}).({y}+{z})",
         ):
-            assert id_pairs(kernel_mod.all_pairs_ids(snapshot, compiled)) == expected
+            assert _directions(db, query) == [False], query
 
 
 def test_sparse_all_pairs_allocates_less_than_one_matrix():
