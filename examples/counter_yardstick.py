@@ -5,8 +5,9 @@ polynomially-sized instance is (w_C)^+ for the doubly-exponentially long
 counter word w_C — the paper's lower-bound witness for the size of
 rewritings.
 
-Note: computing the rewriting runs the full double-exponential pipeline
-and takes on the order of a minute at n=1.
+Computing the rewriting runs the full double-exponential pipeline; at
+n=1 it takes well under a second, because the query automaton is reduced
+to its bisimulation quotient before it is determinized.
 
 Run with::
 

@@ -9,6 +9,12 @@ pipeline now runs on:
   are indexed, transition tables are flat per-state arrays, and *sets of
   states are single Python integers used as bitmasks*, so union,
   difference, and emptiness are one C-level big-int operation each.
+* :func:`dense_from_nfa` — the front end of every subset construction, in
+  three bitmask passes: ε-elimination closed on the source side (position
+  automaton size), trim, and the coarsest forward-bisimulation quotient,
+  refined Hopcroft-style (only the predecessors of renamed states are
+  re-signed and the largest part keeps its name; re-signing every state
+  each round costs a round per state of a chain).
 * :func:`determinize_dense` — the Rabin–Scott subset construction over
   bitmask subsets, producing a *total* dense DFA directly (the dead
   subset ``0`` is materialized on demand and is its own sink).
@@ -44,7 +50,7 @@ from ..sweep import window_masks
 from ..sweep.csr import CSRSnapshot, _LabelCSR
 from ..sweep.table import compile_automaton
 from .dfa import DFA
-from .nfa import NFA
+from .nfa import EPS, NFA
 
 __all__ = [
     "DenseNFA",
@@ -173,30 +179,143 @@ class DenseDFA:
 
 
 def dense_from_nfa(nfa: NFA, symbols: tuple[Hashable, ...] | None = None) -> DenseNFA:
-    """Compile an :class:`NFA` (epsilon moves eliminated) to dense form."""
-    if nfa.has_epsilon_moves():
-        nfa = nfa.without_epsilon().trimmed()
+    """Compile an :class:`NFA` to the ε-free, trimmed, bisimulation-quotient
+    dense form every subset construction starts from.
+
+    Three passes over the NFA's states (sorted ids):
+
+    1. *ε-elimination closed on the source side*: ``q --a--> δ(closure(q),
+       a)``, with no closure on the targets, and ``q`` final iff
+       ``closure(q)`` meets the finals; closures are unions of big-int ε
+       masks.  Only the initial states and the symbol targets are reached,
+       which is the position automaton's size (a target-closed elimination
+       keeps every Thompson state).
+    2. *Trim*: keep what is reachable from the initials and co-reachable to
+       the finals.
+    3. *Coarsest forward-bisimulation quotient*: from {final, non-final},
+       split each class by the per-symbol sets of successor classes.  Only
+       the predecessors of renamed states are re-signed, and a split
+       renames every part but the largest, so a state is renamed O(log n)
+       times.  Re-signing every state each round instead costs a round per
+       state of a chain (``a^800``: 1.4 s against 13 ms, on 2 vCPUs).
+
+    ``state_at[c]`` is the smallest original id in class ``c``.
+    """
     if symbols is None:
         symbols = tuple(sorted(nfa.alphabet, key=repr))
     symbol_index = {symbol: i for i, symbol in enumerate(symbols)}
-    state_at = tuple(sorted(nfa.states))
-    index_of = {state: i for i, state in enumerate(state_at)}
-    moves: list[tuple[tuple[int, int], ...]] = []
-    for state in state_at:
-        entries = []
+    ids = tuple(sorted(nfa.states))
+    index_of = {state: i for i, state in enumerate(ids)}
+
+    def mask_of(states: Iterable[int]) -> int:
+        mask = 0
+        for state in states:
+            mask |= 1 << index_of[state]
+        return mask
+
+    epsilon = [0] * len(ids)
+    steps: list[list[tuple[int, int]]] = [[] for _ in ids]
+    for i, state in enumerate(ids):
         for label, dsts in nfa.transitions_from(state).items():
-            mask = 0
-            for dst in dsts:
-                mask |= 1 << index_of[dst]
-            entries.append((symbol_index[label], mask))
-        moves.append(tuple(entries))
-    initials_mask = 0
-    for state in nfa.initials:
-        initials_mask |= 1 << index_of[state]
-    finals_mask = 0
-    for state in nfa.finals:
-        finals_mask |= 1 << index_of[state]
-    return DenseNFA(symbols, len(state_at), moves, initials_mask, finals_mask, state_at)
+            if label is EPS:
+                epsilon[i] = mask_of(dsts)
+            else:
+                steps[i].append((symbol_index[label], mask_of(dsts)))
+    nfa_finals = mask_of(nfa.finals)
+    initials = [index_of[state] for state in nfa.initials]
+
+    # Pass 1: every reached state's closure, row and finality.
+    rows: dict[int, list[tuple[int, list[int]]]] = {}
+    finals = set()
+    pending = list(initials)
+    seen = set(initials)
+    for state in pending:  # grows while iterated
+        closure = frontier = 1 << state
+        row: dict[int, int] = {}
+        while frontier:  # each closure member is expanded once
+            reached = 0
+            for inner in iter_bits(frontier):
+                reached |= epsilon[inner]
+                for a, mask in steps[inner]:
+                    row[a] = row.get(a, 0) | mask
+            frontier = reached & ~closure
+            closure |= frontier
+        if closure & nfa_finals:
+            finals.add(state)
+        rows[state] = [(a, list(iter_bits(mask))) for a, mask in sorted(row.items())]
+        fresh = {target for _a, targets in rows[state] for target in targets} - seen
+        seen |= fresh
+        pending.extend(fresh)
+
+    # Pass 2: trim to the states that reach a final.
+    predecessors: dict[int, set[int]] = {state: set() for state in rows}
+    for state, entries in rows.items():
+        for _a, targets in entries:
+            for target in targets:
+                predecessors[target].add(state)
+    useful = set(finals)
+    backward = list(useful)
+    for state in backward:  # grows while iterated
+        backward.extend(predecessors[state] - useful)
+        useful.update(predecessors[state])
+
+    # Pass 3: the coarsest forward bisimulation, Hopcroft-style.
+    succ = {
+        state: [
+            (a, kept) for a, targets in rows[state]
+            if (kept := [t for t in targets if t in useful])
+        ]
+        for state in useful
+    }
+    members = [part for part in (useful & finals, useful - finals) if part]
+    class_of = {state: c for c, part in enumerate(members) for state in part}
+    dirty: Iterable[int] = useful
+    while dirty:
+        by_class: dict[int, dict[tuple, list[int]]] = {}
+        for state in dirty:
+            signature = tuple([
+                (a, frozenset([class_of[t] for t in targets])) for a, targets in succ[state]
+            ])
+            by_class.setdefault(class_of[state], {}).setdefault(signature, []).append(state)
+        renamed: list[int] = []
+        for c, groups in by_class.items():
+            # The unsigned members kept their signature, which names no
+            # class renamed last round, so they form a part of their own.
+            parts = list(groups.values())
+            unsigned = len(members[c]) - sum(map(len, parts))
+            if not unsigned and len(parts) == 1:
+                continue
+            largest = max(parts, key=len)
+            if unsigned < len(largest):
+                parts.remove(largest)
+                if unsigned:
+                    parts.append(members[c].difference(*groups.values()))
+            for part in parts:
+                members[c].difference_update(part)
+                class_of.update(dict.fromkeys(part, len(members)))
+                members.append(set(part))
+                renamed.extend(part)
+        dirty = {source for state in renamed for source in predecessors[state]} & useful
+
+    representatives = sorted(min(part) for part in members)
+    position = {class_of[state]: i for i, state in enumerate(representatives)}
+
+    def class_mask(states: Iterable[int]) -> int:
+        mask = 0
+        for state in states:
+            mask |= 1 << position[class_of[state]]
+        return mask
+
+    moves = [
+        tuple([(a, class_mask(targets)) for a, targets in succ[state]])
+        for state in representatives
+    ]
+    initials_mask = class_mask(useful.intersection(initials))
+    finals_mask = class_mask(useful & finals)
+    state_at = tuple(ids[state] for state in representatives)
+    return DenseNFA(
+        symbols, len(representatives), moves, initials_mask, finals_mask, state_at
+    )
 
 
 def dense_from_dfa(dfa: DFA) -> tuple[DenseDFA, tuple[int, ...]]:

@@ -91,6 +91,58 @@ class TestDenseConversions:
         )
 
 
+class TestDenseFrontEnd:
+    """``dense_from_nfa``'s three passes: source-closed ε-elimination, trim,
+    bisimulation quotient."""
+
+    @pytest.mark.parametrize("k", [4, 11])
+    def test_blowup_family_reaches_the_position_automaton(self, k):
+        # Thompson's NFA has 6k + 10 states, and the target-closed
+        # elimination kept every one of them (40 at k = 5).
+        assert dense_from_nfa(nfa_of("(a+b)*.a" + ".(a+b)" * k)).num_states == k + 2
+
+    @pytest.mark.parametrize("expr", ["%empty", "a.%empty", "(a.%empty)*.%empty"])
+    def test_empty_language_leaves_no_state(self, expr):
+        dense = dense_from_nfa(nfa_of(expr))
+        assert (dense.num_states, dense.initials_mask, dense.finals_mask) == (0, 0, 0)
+        dfa = determinize_dense(nfa_of(expr), symbols=("a",))
+        assert dfa.num_states == 1 and not dfa.finals_mask
+
+    def test_epsilon_only_language_is_one_final_state(self):
+        dense = dense_from_nfa(nfa_of("%eps"))
+        assert (dense.num_states, dense.initials_mask, dense.finals_mask) == (1, 1, 1)
+        assert dense.moves == [()]
+
+    def test_epsilon_cycle_closes_to_one_looping_state(self):
+        # (a*)* puts an ε-cycle through the inner star's entry and exit.
+        nfa = nfa_of("(a*)*")
+        dense = dense_from_nfa(nfa)
+        assert dense.num_states == 1
+        assert dense.moves == [((0, 1),)]
+        assert (dense.initials_mask, dense.finals_mask) == (1, 1)
+        assert dense.state_at == (min(nfa.initials),)
+
+    @settings(max_examples=80, deadline=None)
+    @given(expr=regex_strategy(max_leaves=7))
+    def test_never_larger_than_the_dict_front_end_and_language_kept(self, expr):
+        nfa = to_nfa(expr)
+        dense = dense_from_nfa(nfa)
+        assert dense.num_states <= nfa.without_epsilon().trimmed().num_states
+        assert list(dense.state_at) == sorted(dense.state_at)
+        assert are_equivalent(determinize_dense(nfa).to_dfa(), determinize(nfa))
+
+    def test_refinement_is_not_quadratic_on_a_chain(self):
+        """``a^4000``: 0.08-0.14 s on a 2-vCPU box (0.10 s before the
+        quotient).  A refinement that re-signs every state each round needs
+        a round per chain state: 1.4 s at ``a^800``, about 35 s here."""
+        nfa = nfa_of(".".join(["a"] * 4000))
+        started = time.perf_counter()
+        dense = determinize_dense(nfa)
+        elapsed = time.perf_counter() - started
+        assert dense.num_states == 4002
+        assert elapsed < 2.0, f"{elapsed:.2f} s"
+
+
 class TestDeterminizeDense:
     @settings(max_examples=50, deadline=None)
     @given(expr=regex_strategy(max_leaves=6))
@@ -139,14 +191,15 @@ class TestMinimizeDense:
 
     @pytest.mark.parametrize("k, bound_s", [(11, 1.0), (12, 2.0)])
     def test_cost_is_not_quadratic_on_the_blowup_family(self, k, bound_s):
-        """The determinized ``(a+b)*.a.(a+b)^k`` (``2^(k+1) + 1`` states)
+        """The determinized ``(a+b)*.a.(a+b)^k`` (``2^(k+1)`` states: the
+        quotient of the front end leaves no duplicate initial subset)
         minimizes to ``2^(k+1)`` states in 0.02 s (k = 11) and 0.05 s
-        (k = 12), so the bounds have more than 20x slack on a busy machine;
-        a refinement that scans the whole partition per splitter took
-        2.2 s and 9.3 s here.
+        (k = 12) on a 2-vCPU box, so the bounds have more than 20x slack on
+        a busy machine; a refinement that scans the whole partition per
+        splitter took 2.2 s and 9.3 s.
         """
         dense = determinize_dense(nfa_of("(a+b)*.a" + ".(a+b)" * k))
-        assert dense.num_states == 2 ** (k + 1) + 1
+        assert dense.num_states == 2 ** (k + 1)
         started = time.perf_counter()
         reduced = minimize_dense(dense)
         elapsed = time.perf_counter() - started

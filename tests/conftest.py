@@ -70,8 +70,8 @@ def fig1_rewriting():
 def expspace_instances():
     """Theorem 3.3 instances (solvable + unsolvable) with their rewritings.
 
-    Building these involves a ~100k-state subset construction, so they are
-    shared across the whole session.
+    Shared across the whole session; each is a few hundred subsets after
+    ``dense_from_nfa``'s bisimulation quotient.
     """
     from repro.core import maximal_rewriting
     from repro.reductions import TilingSystem, expspace_reduction

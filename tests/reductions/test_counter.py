@@ -3,6 +3,7 @@
 import pytest
 
 from repro.automata import are_equivalent, to_nfa, word_nfa
+from repro.core import maximal_rewriting
 from repro.reductions.counter import (
     COUNTER_SYMBOLS,
     counter_reduction,
@@ -70,7 +71,6 @@ class TestReductionInstance:
             counter_reduction(0)
 
 
-@pytest.mark.slow
 class TestTheorem34:
     """The heavy checks run against the session-cached n=1 rewriting."""
 
@@ -81,6 +81,12 @@ class TestTheorem34:
     def test_shortest_word_is_counter_word(self, counter_instance):
         reduction, rewriting = counter_instance
         assert rewriting.shortest_word() == counter_word(reduction.n)
+
+    def test_shortest_word_is_counter_word_at_n2(self):
+        # 64 = 2^2 * 2^4 symbols; about a second on a 2-vCPU box.
+        reduction = counter_reduction(2)
+        rewriting = maximal_rewriting(reduction.e0, reduction.views)
+        assert rewriting.shortest_word() == counter_word(2)
 
     def test_shortest_word_is_doubly_exponential(self, counter_instance):
         reduction, rewriting = counter_instance

@@ -13,7 +13,6 @@ from repro.reductions.expspace import expspace_reduction, tiling_word
 from repro.reductions.tiling import TilingSystem, solve_corridor_tiling
 
 
-@pytest.mark.slow
 class TestReductionSolvable:
     def test_nonempty_iff_tiling_exists(self, expspace_instances):
         reduction, rewriting = expspace_instances["solvable"]
@@ -45,7 +44,6 @@ class TestReductionSolvable:
         assert rewriting.accepts(tiling_word(rows))
 
 
-@pytest.mark.slow
 class TestReductionUnsolvable:
     def test_empty_iff_no_tiling(self, expspace_instances):
         reduction, rewriting = expspace_instances["unsolvable"]
@@ -59,7 +57,6 @@ class TestReductionUnsolvable:
         assert not rewriting.accepts(("a", "b", "a"))
 
 
-@pytest.mark.slow
 class TestLazyNonemptinessAgrees:
     """The Theorem 3.3 *upper bound* algorithm on the hardness instances."""
 
@@ -72,7 +69,6 @@ class TestLazyNonemptinessAgrees:
 
 
 class TestConstructionShape:
-    @pytest.mark.slow
     def test_views_are_block_languages(self, expspace_instances):
         reduction, _ = expspace_instances["solvable"]
         for tile in reduction.system.tiles:
@@ -111,7 +107,6 @@ class TestConstructionShape:
             expspace_reduction(complete, 1, variant="unknown")
 
 
-@pytest.mark.slow
 class TestPaperVariantDegeneracy:
     """The construction exactly as printed vacuously accepts words whose
     length is not a multiple of 2^n — the degeneracy our 'strict' variant
