@@ -71,7 +71,11 @@ before its first write since the last read; the next read folds ``mask ^
 before`` of just those rows into the lists by bisect — no snapshot of the
 masks, no scan, no re-sort (a diff of thousands of pairs is decoded
 afresh: ``_REFILL_ABOVE``).  The bookkeeping is O(delta); the read itself
-then copies the list, or hashes it into a frozenset, for the caller.
+then copies the list, or hashes it into a frozenset, for the caller.  The
+fold also keeps its **edit script** — the inserts and deletes it applied,
+by list position — so a reader holding an older copy of the list can patch
+it in O(delta) too (:meth:`DeltaSweepState.edits_since`; the server's
+all-pairs wire bodies do).
 
 **One algorithm, two layouts.**  The block matrices exist because
 :func:`repro.sweep.kernel.sweep_window` builds them 5–20x faster than the
@@ -161,6 +165,13 @@ class DeltaSweepState:
     apply the insertions first — over-delete reads the live graph, so it
     also cleans up after edges that were inserted and deleted within the
     same batch.
+
+    Readers that keep their own copy of the sorted answers (or anything
+    aligned with it) hold :attr:`token`, read after an answer read, and
+    later ask :meth:`edits_since` for the script that turns that list into
+    the current one: the latest non-empty fold's inserts and deletes by
+    position, or ``None`` when the token is older than that fold or from
+    another decode (a refill, another state), so the reader maps afresh.
     """
 
     __slots__ = (
@@ -176,6 +187,9 @@ class DeltaSweepState:
         "_keys",
         "_pairs",
         "_before",
+        "_epoch",
+        "_folds",
+        "_edits",
     )
 
     def __init__(self, db: GraphDB, compiled: CompiledAutomaton):
@@ -494,12 +508,19 @@ class DeltaSweepState:
         sources, targets = self.answer_ids()
         self._pairs = self.db.pairs_at(sources, targets)
         self._keys = array("q", (sources << 32 | targets).tobytes())
+        # A fresh epoch per decode: its identity is what a token from
+        # another decode, or another state, fails to match.
+        self._epoch, self._folds, self._edits = object(), 0, []
 
     def _fold(self) -> list[Pair]:
         """The decoded answers, brought up to date: per answer row written
         since the last read, the bits of ``mask ^ before`` enter (gained:
         insertions, rederivations) or leave (lost: deletions) at the place
-        bisect finds for their key."""
+        bisect finds for their key.
+
+        A fold that changes the list keeps its edit script in order
+        applied: ``(index, pair)`` for a pair inserted at ``index``,
+        ``(index, None)`` for the pair deleted from ``index``."""
         before, masks = self._before, self.answer_masks
         changed = [(row, masks[row], old) for row, old in before.items()]
         before.clear()
@@ -507,6 +528,7 @@ class DeltaSweepState:
             self._fill()
             return self._pairs
         node_at, pairs, keys = self.db.node_at, self._pairs, self._keys
+        edits: list[tuple[int, Pair | None]] = []
         for target_id, mask, old in changed:
             target, bits = node_at(target_id), mask ^ old
             while bits:
@@ -515,12 +537,35 @@ class DeltaSweepState:
                 key = source_id << 32 | target_id
                 at = bisect_left(keys, key)
                 if mask & low_bit:
+                    pair = (node_at(source_id), target)
                     keys.insert(at, key)
-                    pairs.insert(at, (node_at(source_id), target))
+                    pairs.insert(at, pair)
+                    edits.append((at, pair))
                 else:
                     del keys[at], pairs[at]
+                    edits.append((at, None))
                 bits ^= low_bit
+        if edits:
+            self._folds += 1
+            self._edits = edits
         return pairs
+
+    @property
+    def token(self) -> tuple[object, int]:
+        """``(epoch, fold)``: names the sorted answer list as of the last
+        read, for :meth:`edits_since`."""
+        return self._epoch, self._folds
+
+    def edits_since(self, token) -> list[tuple[int, Pair | None]] | None:
+        """The edit script from the list ``token`` named to the list of the
+        last read (``[]`` if they are one), or ``None`` when this state
+        cannot tell: a token from another decode or state, or older than
+        the latest fold that changed the list."""
+        if token == (self._epoch, self._folds):
+            return []
+        if token == (self._epoch, self._folds - 1):
+            return self._edits
+        return None
 
     def answers(self) -> frozenset[Pair]:
         """The current answer set, decoded to node objects."""

@@ -25,10 +25,12 @@ tenant threads via ``run_in_executor``; the loop only parses,
 validates, routes, and serializes small payloads.  The one large body,
 an all-pairs answer, leaves :meth:`Tenant.run_query` already encoded:
 the tenant keeps, per query, the body at the version it was built for
-and each answer pair's bytes, so a repeat at that version writes the
-stored body and a read after an update joins the previous pairs' bytes
-with the few new ones — no ``json.dumps`` of an answer anywhere (the
-source and pair modes return small dicts the loop encodes).  A tenant
+and its pairs' bytes in answer order, so a repeat at that version writes
+the stored body and a read after an update patches those bytes by the
+session's edit script for the answer list (only changed pairs are
+composed) and joins them — no ``json.dumps`` of an answer anywhere (the
+source and pair modes return small dicts the loop encodes).  A query
+string that passed validation once is not parsed again.  A tenant
 grinding through an expensive all-pairs sweep delays its own queue,
 never another tenant's health checks.
 
@@ -160,21 +162,6 @@ class _NodeBytes(dict):
         return encoded
 
 
-class _PairBytes(dict):
-    """The pairs of one served answer -> their wire form ``["x","y"]``; a
-    pair it lacks is composed from the tenant's node table."""
-
-    __slots__ = ("nodes",)
-
-    def __init__(self, nodes: _NodeBytes, items: Iterable = ()):
-        super().__init__(items)
-        self.nodes = nodes
-
-    def __missing__(self, pair: Pair) -> bytes:
-        nodes = self.nodes
-        return b"[%b,%b]" % (nodes[pair[0]], nodes[pair[1]])
-
-
 class Tenant:
     """One tenant's serving state: store + session + its executor thread.
 
@@ -245,9 +232,13 @@ class Tenant:
             "encoded_hits": 0,
         }
         # query -> (version, all-pairs body as last served, its pairs'
-        # bytes); read and written on the tenant thread only.
-        self._wire: dict[str, tuple[int, bytes, _PairBytes]] = {}
+        # bytes in answer order, the session's token for that answer);
+        # read and written on the tenant thread only.
+        self._wire: dict[str, tuple[int, bytes, list[bytes], Any]] = {}
         self._node_bytes = _NodeBytes()
+        # Query strings that parsed and stayed inside query_symbols (fixed
+        # above), so a repeat skips the parse; rejections are not kept.
+        self.valid_queries: set[str] = set()
 
     # -- executed on the tenant's executor thread ----------------------
     def run_query(
@@ -280,25 +271,35 @@ class Tenant:
         ...], "mode": "all", "query": query, "version": version}``.
 
         A repeat at the stored version returns the stored body.  After
-        an update nearly every pair's bytes are ones the previous body
-        carried, so the answer is mapped through that entry's pairs and
-        only new pairs are composed; the new entry keeps the current
-        answer's pairs and nothing else, so it never outgrows it.
+        an update the entry's per-pair bytes, aligned with the answer
+        list, are patched by the session's edit script for that list
+        (:meth:`~repro.service.session.QuerySession.answer_edits`), so
+        only the changed pairs are composed; with no script every pair
+        is mapped afresh.
         """
         entry = self._wire.get(query)
         if entry is not None and entry[0] == version:
             self.served["encoded_hits"] += 1
             return entry[1]
         pairs = self.session.answer_sorted(query)
-        known = entry[2] if entry is not None else _PairBytes(self._node_bytes)
-        parts = list(map(known.__getitem__, pairs))
+        token, edits = self.session.answer_edits(query, entry[3] if entry else None)
+        nodes = self._node_bytes
+        if edits is None:
+            parts = [b"[%b,%b]" % (nodes[x], nodes[y]) for x, y in pairs]
+        else:
+            parts = entry[2]
+            del self._wire[query]  # a patch cut short is never patched again
+            for index, pair in edits:
+                if pair is None:
+                    del parts[index]
+                else:
+                    parts.insert(index, b"[%b,%b]" % (nodes[pair[0]], nodes[pair[1]]))
         body = b'{"answers":[%b],"mode":"all","query":%b,"version":%d}' % (
             b",".join(parts),
             json.dumps(query).encode(),
             version,
         )
-        fresh = _PairBytes(self._node_bytes, zip(pairs, parts))
-        self._wire[query] = (version, body, fresh)
+        self._wire[query] = (version, body, parts, token)
         return body
 
     def run_update(
@@ -740,23 +741,25 @@ class RPQServer:
                 return 400, {"error": f"'{name}' must be a string"}
         if target is not None and source is None:
             return 400, {"error": "'target' requires a 'source' (pair mode)"}
-        try:
-            parsed = RPQ(query)
-        except Exception as exc:
-            return 400, {"error": f"bad query {query!r}: {exc}"}
-        unknown = sorted(
-            str(symbol)
-            for symbol in parsed.alphabet()
-            if symbol not in tenant.query_symbols
-        )
-        if unknown:
-            return 400, {
-                "error": (
-                    "query uses symbols outside this tenant's "
-                    f"database alphabet: {unknown}"
-                ),
-                "symbols": sorted(map(str, tenant.query_symbols)),
-            }
+        if query not in tenant.valid_queries:
+            try:
+                parsed = RPQ(query)
+            except Exception as exc:
+                return 400, {"error": f"bad query {query!r}: {exc}"}
+            unknown = sorted(
+                str(symbol)
+                for symbol in parsed.alphabet()
+                if symbol not in tenant.query_symbols
+            )
+            if unknown:
+                return 400, {
+                    "error": (
+                        "query uses symbols outside this tenant's "
+                        f"database alphabet: {unknown}"
+                    ),
+                    "symbols": sorted(map(str, tenant.query_symbols)),
+                }
+            tenant.valid_queries.add(query)
         if target is not None:
             mode = "pair"
         elif source is not None:

@@ -284,6 +284,20 @@ class QuerySession:
         with self._lock:
             return list(self._memoized(query)[0])
 
+    def answer_edits(self, query: QuerySpec, token) -> tuple:
+        """``(token, edits)`` for the list :meth:`answer_sorted` gave for
+        ``query`` at the current version: the retained state's
+        :attr:`~repro.rpq.incremental.DeltaSweepState.token`, and the edit
+        script from the list an earlier ``token`` named, or ``None`` when
+        there is none to give (another state, a lost fold, no state kept
+        at this version).  Reads nothing new; call it after the answer."""
+        with self._lock:
+            entry = self._delta_states.get(self._plan_keys.get(query))
+            if entry is None or entry[1] != self.store.version:
+                return None, None
+            state = entry[0]
+            return state.token, state.edits_since(token)
+
     def _delta_state(
         self, key: str, compiled: _engine.CompiledAutomaton
     ) -> DeltaSweepState:

@@ -23,10 +23,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.rpq import RPQ, DeltaSweepState, GraphDB
 from repro.rpq import engine as engine_mod
-from repro.rpq.incremental import NumpyDeltaSweepState
+from repro.rpq.incremental import _REFILL_ABOVE, NumpyDeltaSweepState
 
 LABELS = ("a", "b", "c")
 
@@ -476,6 +478,140 @@ class TestRetainedDecode:
         assert got == fresh.answers_sorted()
         assert len(got) == 244_650 - (cut + 1) * (699 - cut)
         assert read_seconds <= 3 * build_seconds, (read_seconds, build_seconds)
+
+
+def patched(copy, edits):
+    """A reader's copy of the sorted answers with an edit script applied."""
+    copy = list(copy)
+    for index, pair in edits:
+        if pair is None:
+            del copy[index]
+        else:
+            copy.insert(index, pair)
+    return copy
+
+
+_churn_steps = st.lists(
+    st.tuples(
+        st.lists(
+            st.tuples(
+                st.booleans(),
+                st.sampled_from(range(6)),
+                st.sampled_from(LABELS[:2]),
+                st.sampled_from(range(6)),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+        st.booleans(),
+    ),
+    max_size=14,
+)
+
+
+@pytest.mark.parametrize(
+    "state_class", [DeltaSweepState, NumpyDeltaSweepState], ids=["int", "blocks"]
+)
+class TestEditScript:
+    """``edits_since``: a copy of the sorted answers taken with a token,
+    patched by the script, is the current list; ``None`` comes back
+    exactly when the state cannot say (an older fold, another decode).
+    Both layouts by parameter: a hypothesis test inherited by a subclass
+    runs under two executors."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(["a.b", "(a+b)*", "a.b*", "b*.a.a*"]),
+        _churn_steps,
+    )
+    def test_a_copy_one_change_old_is_patched_older_ones_get_none(
+        self, state_class, query, steps
+    ):
+        edges = {(0, "a", 1), (1, "b", 2)}
+        db = GraphDB(edges)
+        compiled = compiled_for(query)
+        state = state_class(db, compiled)
+        # (token, copy, changes seen when taken); a change is a read
+        # whose list differs from the one before.
+        held = [(state.token, state.answers_sorted(), 0)]
+        changes = 0
+        for batch, read in steps:
+            for insert, source, label, target in batch:
+                edge = (source, label, target)
+                if insert and edge not in edges:
+                    edges.add(edge)
+                    db.add_edge(*edge)
+                    state.apply_insertions([edge])
+                elif not insert and edge in edges:
+                    edges.remove(edge)
+                    db.remove_edge(*edge)
+                    state.apply_deletions([edge])
+            if not read:
+                continue
+            current = state.answers_sorted()
+            changes += current != held[-1][1]
+            for token, copy, taken in held[-4:]:
+                edits = state.edits_since(token)
+                assert (edits is None) == (changes - taken >= 2)
+                if changes == taken:
+                    assert edits == []
+                if edits is not None:
+                    assert patched(copy, edits) == current
+            held.append((state.token, current, changes))
+        current = state.answers_sorted()
+        assert current == engine_mod.evaluate_all_sorted(db, compiled)
+        twin = state_class(db, compiled)
+        assert twin.answers_sorted() == current
+        assert twin.edits_since(state.token) is None
+        assert state.edits_since(twin.token) is None
+
+    def test_churn_through_growth_a_refill_and_draining_to_empty(self, state_class):
+        """``a.a*`` on a 60-node chain: grow it one node a read past the
+        64-node boundary, close it into a cycle (thousands of pairs at
+        once: a refill), churn it, then delete every edge a read at a time.
+        The copy from the previous read is patched whenever the read
+        folded, and gets ``None`` exactly when it refilled."""
+        rng = random.Random(47)
+        db = GraphDB([(f"n{i}", "a", f"n{i + 1}") for i in range(59)])
+        compiled = compiled_for("a.a*", labels=("a",))
+        state = state_class(db, compiled)
+        token, copy = state.token, state.answers_sorted()
+        refills = 0
+
+        def step(inserted=(), deleted=()):
+            nonlocal token, copy, refills
+            for edge in inserted:
+                db.add_edge(*edge)
+            state.apply_insertions(inserted)
+            for edge in deleted:
+                db.remove_edge(*edge)
+            state.apply_deletions(deleted)
+            current = state.answers_sorted()
+            edits = state.edits_since(token)
+            refilled = len(set(copy) ^ set(current)) > _REFILL_ABOVE
+            assert (edits is None) == refilled
+            refills += refilled
+            if edits is not None:
+                assert patched(copy, edits) == current
+            token, copy = state.token, current
+
+        for i in range(59, 70):
+            step(inserted=[(f"n{i}", "a", f"n{i + 1}")])
+        assert db.num_nodes == 71
+        step(inserted=[("n70", "a", "n0")])
+        assert refills == 1
+        nodes = [f"n{i}" for i in range(71)]
+        for _ in range(30):
+            edge = (rng.choice(nodes), "a", rng.choice(nodes))
+            if edge in db.to_triples():
+                step(deleted=[edge])
+            else:
+                step(inserted=[edge])
+        edges = sorted(db.to_triples())
+        rng.shuffle(edges)
+        for edge in edges:
+            step(deleted=[edge])
+        assert copy == [] == engine_mod.evaluate_all_sorted(db, compiled)
 
 
 # ----------------------------------------------------------------------

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.rpq import Theory
+from repro.rpq import RPQ, Theory
 from repro.service import RPQServer, TenantConfig, run_in_thread
 from repro.service.loadgen import (
     make_tenant_config,
@@ -243,6 +243,35 @@ class TestRejections:
         )
         assert status == 400
         assert "bad query" in body["error"]
+
+    def test_a_repeated_valid_query_is_parsed_once(self, served, monkeypatch):
+        server, url = served
+        parsed = []
+        monkeypatch.setattr(
+            "repro.service.server.RPQ",
+            lambda query: parsed.append(query) or RPQ(query),
+        )
+        for payload in ({"query": "a.b"}, {"query": "a.b", "source": "u"},
+                        {"query": "a.b"}, {"query": "a"}):
+            status, _body = _request(url, "POST", "/tenants/alpha/query", payload)
+            assert status == 200
+        assert parsed == ["a.b", "a"]
+        assert server.tenants["alpha"].valid_queries == {"a.b", "a"}
+
+    @pytest.mark.parametrize(
+        "query, error",
+        [("a.(b", "bad query"), ("a.nope", "outside this tenant's database alphabet")],
+        ids=["malformed", "unknown_symbol"],
+    )
+    def test_a_rejected_query_is_rejected_every_time(self, served, query, error):
+        server, url = served
+        replies = [
+            _request(url, "POST", "/tenants/alpha/query", {"query": query})
+            for _ in range(3)
+        ]
+        assert replies[0][0] == 400 and error in replies[0][1]["error"]
+        assert replies == [replies[0]] * 3
+        assert server.tenants["alpha"].valid_queries == set()
 
     def test_target_without_source_400(self, served):
         _server, url = served
@@ -491,10 +520,26 @@ class TestAllPairsBodyBytes:
         finally:
             tenant.close()
 
-    def test_entries_hold_exactly_the_current_answer_after_churn(self):
+    @staticmethod
+    def _record_scripts(tenant, monkeypatch):
+        """Per query, whether each miss got an edit script from the
+        session (``True``) or mapped every pair afresh (``False``)."""
+        got: dict[str, list[bool]] = {}
+        answer_edits = tenant.session.answer_edits
+
+        def recording(query, token):
+            token, edits = answer_edits(query, token)
+            got.setdefault(query, []).append(edits is not None)
+            return token, edits
+
+        monkeypatch.setattr(tenant.session, "answer_edits", recording)
+        return got
+
+    def test_entries_hold_exactly_the_current_answer_after_churn(self, monkeypatch):
         rng = random.Random(21)
         nodes = [f"n{i}" for i in range(12)]
         tenant = Tenant("wire", _tenant_config(extensions={"q1": [], "q2": []}))
+        scripts = self._record_scripts(tenant, monkeypatch)
         try:
             for _ in range(200):
                 before = tenant.store.version
@@ -513,11 +558,42 @@ class TestAllPairsBodyBytes:
                         query, "all", None, None
                     ) == _dumped_all_pairs(tenant, query)
             assert set(tenant._wire) == set(WIRE_QUERIES)
-            for query, (version, _body, pair_bytes) in tenant._wire.items():
+            for query, (version, _body, parts, _token) in tenant._wire.items():
                 answer = tenant.session.answer_sorted(query)
                 assert version == tenant.store.version
-                assert set(pair_bytes) == set(answer) and len(answer) > 0
+                assert len(parts) == len(answer) > 0
             assert set(tenant._node_bytes) <= set(nodes)
+            # Every body after a query's first was its previous one patched.
+            assert scripts == {query: [False] + [True] * 199 for query in WIRE_QUERIES}
+        finally:
+            tenant.close()
+
+    def test_a_stale_log_rebuild_and_close_map_every_pair_afresh(self, monkeypatch):
+        tenant = Tenant("wire", _tenant_config(log_limit=2))
+        scripts = self._record_scripts(tenant, monkeypatch)
+
+        def read():
+            assert tenant.run_query("a.b", "all", None, None) == _dumped_all_pairs(
+                tenant, "a.b"
+            )
+
+        try:
+            read()
+            tenant.run_update([("insert", "q1", "x1", "v")], 0)
+            read()
+            # Three tuples past the read: the log kept two, so the
+            # session rebuilds the state and its old token names nothing.
+            recomputes = tenant.session.stats["full_recomputes"]
+            for target in ("z1", "z2", "z3"):
+                tenant.run_update([("insert", "q2", "v", target)], 0)
+            read()
+            assert tenant.session.stats["full_recomputes"] == recomputes + 1
+            tenant.run_update([("delete", "q1", "u", "v")], 0)
+            read()
+            tenant.session.close()
+            tenant.run_update([("insert", "q1", "x2", "v")], 0)
+            read()
+            assert scripts == {"a.b": [False, True, False, True, False]}
         finally:
             tenant.close()
 

@@ -374,6 +374,33 @@ class TestClose:
         assert session.stats["full_recomputes"] == recomputes + 3
 
 
+class TestAnswerEdits:
+    def test_script_patches_the_previous_answer_of_this_state_only(
+        self, session, store
+    ):
+        first = session.answer_sorted("a.b")
+        token, edits = session.answer_edits("a.b", None)
+        assert token is not None and edits is None
+        store.add("q1", "x", "v")
+        # Not answered at this version yet: nothing to hand out.
+        assert session.answer_edits("a.b", token) == (None, None)
+        second = session.answer_sorted("a.b")
+        token, edits = session.answer_edits("a.b", token)
+        assert edits == [(2, ("x", "z"))] and second[2] == ("x", "z")
+        assert first[:2] + [("x", "z")] == second
+        assert session.answer_edits("a.b", token) == (token, [])
+        session.close()
+        assert session.answer_edits("a.b", token) == (None, None)
+        assert session.answer_sorted("a.b") == second
+        rebuilt, edits = session.answer_edits("a.b", token)
+        assert rebuilt != token and edits is None
+
+    def test_without_retained_state_there_is_no_token(self, store, views, theory):
+        session = QuerySession(store, views, theory, incremental=False)
+        session.answer_sorted("a.b")
+        assert session.answer_edits("a.b", None) == (None, None)
+
+
 def _sharded_answer(session, query, **kwargs):
     """The all-pairs answer of ``query``'s plan as a standalone
     ParallelEvaluator computes it over the session's view graph."""
