@@ -25,10 +25,12 @@ the delta into its sorted answer and records the fold's edit script, and
 the tenant patches its stored per-pair bytes by that script, so only the
 changed pairs are encoded.  The replay above therefore checks every
 patched body.  A repeated query string skips the parse on the event loop.
-On a 2-vCPU Linux VM (six alternated runs a side) this gate read
-4 540-5 680 req/s with p50 1.0-1.3 ms, against 3 740-4 180 req/s and
-p50 1.5-1.75 ms when each miss mapped every pair through a dict rebuilt
-per read; p99 was 7-11 ms on both.
+Each tenant's thread drains a FIFO job queue and settles one asyncio
+future per request.  On a 2-vCPU Linux VM (six alternated runs a side)
+this gate read 5 550-6 070 req/s with p50 0.96-1.12 ms and p99
+6.5-7.8 ms, against 5 410-5 580 req/s, p50 1.12-1.17 ms and p99
+6.8-7.2 ms when every request took a ``run_in_executor`` round trip
+onto a one-worker executor per tenant.
 
 Run with ``-s`` to see the report::
 

@@ -20,7 +20,7 @@ halves built underneath it:
 * :func:`answer_on_extensions` — the shared one-shot helper turning raw
   extensions into answers (defined in :mod:`repro.rpq.views`);
 * :class:`RPQServer` / :class:`TenantConfig` / :func:`run_in_thread` —
-  the async multi-tenant HTTP/JSON front end: executor-confined tenants
+  the async multi-tenant HTTP/JSON front end: thread-confined tenants
   with version-pinned reads, bounded admission (429 on overflow), and
   per-tenant stats (:mod:`repro.service.server`; its closed-loop load
   generator and differential oracle live in

@@ -514,7 +514,7 @@ class TenantDurability:
     def maybe_checkpoint(self, store: MaterializedViewStore) -> str | None:
         """Roll a checkpoint if the WAL grew enough since the last one.
 
-        Called on the tenant's executor after acknowledged writes, so
+        Called on the tenant's thread after acknowledged writes, so
         checkpointing serializes with mutations for free.  Returns the
         new checkpoint's path, or ``None`` when the WAL is still under
         ``checkpoint_every_bytes`` of un-checkpointed records.

@@ -4,10 +4,10 @@
 :class:`~repro.service.store.MaterializedViewStore` plus a
 :class:`~repro.service.session.QuerySession` over its own view set —
 behind one asyncio HTTP/JSON listener.  The concurrency design is
-*executor confinement*: every tenant owns a single-thread executor, and
-every admitted request (query or update batch) runs on that one thread
-in admission order.  That one decision buys the two properties the
-serving regime needs:
+*thread confinement*: every tenant owns one drain thread that takes
+jobs from a FIFO queue, and every admitted request (query or update
+batch) runs on that one thread in admission order.  That one decision
+buys the two properties the serving regime needs:
 
 **Snapshot isolation by version pinning.**  A read admitted after k
 write batches executes after exactly those k batches — nothing else can
@@ -21,7 +21,10 @@ what lets the load generator's single-threaded oracle replay
 byte for byte.
 
 **A non-blocking event loop.**  Sweeps — full or incremental — run on
-tenant threads via ``run_in_executor``; the loop only parses,
+tenant threads: the loop queues a job with a plain asyncio future, and
+the tenant thread settles that future through
+``call_soon_threadsafe`` as the job finishes (an admitted job always
+runs, even if its waiter was cancelled); the loop only parses,
 validates, routes, and serializes small payloads.  The one large body,
 an all-pairs answer, leaves :meth:`Tenant.run_query` already encoded:
 the tenant keeps, per query, the body at the version it was built for
@@ -52,11 +55,12 @@ subdirectory with a write-ahead log and rolling checkpoints
 (:mod:`repro.service.wal` / :mod:`repro.service.recovery`).  Every
 mutation is framed into the WAL by the store itself, and the update
 handler commits the batch — per the ``fsync`` policy — *on the tenant
-thread, before the executor future resolves*, so an HTTP 200 for a
+thread, before the request's future settles*, so an HTTP 200 for a
 write means the batch is recoverable.  Startup recovers every tenant
 from its directory (config extensions seed only a fresh directory);
 ``/shutdown`` drains in-flight requests, rolls a final checkpoint per
-tenant, and joins the executors without cancelling queued writes.
+tenant through the same queue, and joins the tenant threads after
+every queued write.
 Request parsing is bounded too: bodies beyond ``max_request_bytes``
 draw a 413 and malformed Content-Length a 400, before any buffering.
 
@@ -85,8 +89,8 @@ import asyncio
 import contextlib
 import json
 import os
+import queue
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Iterable, Mapping
 
@@ -137,7 +141,7 @@ class TenantConfig:
     ``backend``, ``plan_dir``) and the
     store (``log_limit``), plus ``max_queue`` — the admission bound:
     how many requests may be queued or in flight on the tenant's
-    executor before new ones are rejected with 429.
+    thread before new ones are rejected with 429.
     """
 
     views: RPQViews | Mapping[Hashable, QuerySpec]
@@ -163,13 +167,17 @@ class _NodeBytes(dict):
 
 
 class Tenant:
-    """One tenant's serving state: store + session + its executor thread.
+    """One tenant's serving state: store + session + its drain thread.
 
     All query evaluation and all store mutation happen on the tenant's
-    single executor thread, in submission order — the confinement that
-    makes version pinning exact (see the module docstring).  The event
-    loop only reads ``pending``/``served`` counters and the store's
-    version property, both safe to observe racily for stats.
+    one thread, which runs the jobs of ``jobs`` in the order they were
+    queued — the confinement that makes version pinning exact (see the
+    module docstring).  A job is ``(op, future)``: the thread calls
+    ``op()`` and settles ``future`` (an asyncio future, or ``None`` when
+    nobody waits) on its loop with the result or the exception.  The
+    event loop only reads ``pending``/``served`` counters and the
+    store's version property, both safe to observe racily for stats.
+    :meth:`close` ends the thread after every queued job.
     """
 
     def __init__(
@@ -218,9 +226,7 @@ class Tenant:
             for view in self.session.views.symbols
             for symbol in self.session.views.rpq(view).alphabet()
         )
-        self.executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix=f"tenant-{name}"
-        )
+        self.jobs: queue.SimpleQueue = queue.SimpleQueue()
         self.pending = 0
         self.write_seq = 0
         self.served = {
@@ -239,8 +245,27 @@ class Tenant:
         # Query strings that parsed and stayed inside query_symbols (fixed
         # above), so a repeat skips the parse; rejections are not kept.
         self.valid_queries: set[str] = set()
+        # Daemon: a tenant nobody closed never keeps the interpreter alive.
+        self._thread = threading.Thread(
+            target=self._drain, name=f"tenant-{name}", daemon=True
+        )
+        self._thread.start()
 
-    # -- executed on the tenant's executor thread ----------------------
+    def _drain(self) -> None:
+        """The tenant thread: run each job as it comes; ``None`` ends it."""
+        while (job := self.jobs.get()) is not None:
+            op, future = job
+            try:
+                result, error = op(), None
+            except Exception as exc:
+                result, error = None, exc
+            if future is not None:
+                try:
+                    future.get_loop().call_soon_threadsafe(_settle, future, result, error)
+                except RuntimeError:  # its loop closed
+                    pass
+
+    # -- executed on the tenant thread ---------------------------------
     def run_query(
         self,
         query: str,
@@ -315,8 +340,8 @@ class Tenant:
             # The ack barrier: the store framed each effective mutation
             # into the WAL above; commit makes the batch as durable as
             # the fsync policy promises *before* the 200 is written.
-            # Running here — on the tenant thread, before the executor
-            # future resolves — is what makes "acknowledged" imply
+            # Running here — on the tenant thread, before the request's
+            # future settles — is what makes "acknowledged" imply
             # "recoverable".  Checkpoint rolling shares the thread too,
             # so it serializes with mutations for free.
             self.durability.wal.commit()
@@ -357,16 +382,29 @@ class Tenant:
         return payload
 
     def close(self) -> None:
-        # wait=True *without* cancel_futures: every admitted write that
+        # The sentinel queues behind every admitted job: each write that
         # reached the queue is applied (and WAL-committed) before the
-        # executor dies — cancelling queued futures here is exactly the
+        # thread exits — dropping queued jobs here is exactly the
         # clean-shutdown write loss this server promises not to have.
-        self.executor.shutdown(wait=True)
+        # A second close finds the thread gone.
+        if self._thread.is_alive():
+            self.jobs.put(None)
+            self._thread.join()
         if self.durability is not None:
             self.durability.close()
         self.session.close()
         self._wire.clear()
         self._node_bytes.clear()
+
+
+def _settle(future: asyncio.Future, result: Any, error: Exception | None) -> None:
+    """Settle a job's future on its loop, unless its waiter gave up."""
+    if future.cancelled():
+        pass
+    elif error is None:
+        future.set_result(result)
+    else:
+        future.set_exception(error)
 
 
 def _parse_body(body: bytes) -> tuple[dict | None, str | None]:
@@ -456,7 +494,7 @@ class RPQServer:
         self._server: asyncio.AbstractServer | None = None
         self._shutdown: asyncio.Event | None = None
         # Requests between head-read and response-drain.  aclose() waits
-        # for this to hit zero before joining tenant executors, so a
+        # for this to hit zero before joining tenant threads, so a
         # clean shutdown never tears the loop down under a response that
         # acknowledges an applied write.
         self._inflight = 0
@@ -494,9 +532,9 @@ class RPQServer:
         relies on): (1) close the listener so no new connection lands;
         (2) wait for every in-flight request — admitted writes included
         — to finish executing *and* drain its response; (3) roll a final
-        checkpoint per durable tenant, on the tenant's own executor so
-        it serializes after every drained write; (4) join the executors
-        without cancelling queued work.  Only then may the caller's
+        checkpoint per durable tenant, queued on the tenant's own thread
+        so it serializes after every drained write; (4) join the tenant
+        threads after every queued job.  Only then may the caller's
         event loop die: no accepted write is dropped, and restart
         recovers instantly from the shutdown checkpoint.
         """
@@ -509,9 +547,9 @@ class RPQServer:
         loop = asyncio.get_running_loop()
         for tenant in self.tenants.values():
             if tenant.durability is not None:
-                await loop.run_in_executor(
-                    tenant.executor, tenant.checkpoint_now
-                )
+                done = loop.create_future()
+                tenant.jobs.put((tenant.checkpoint_now, done))
+                await done
         for tenant in self.tenants.values():
             tenant.close()
 
@@ -692,11 +730,11 @@ class RPQServer:
         kind: str,
         make_op: Callable[[], Callable[[], dict | bytes]],
     ) -> tuple[int, dict | bytes]:
-        """Bounded admission, then executor confinement.
+        """Bounded admission, then thread confinement.
 
         The pending check and increment run with no ``await`` between
         them, so admission is atomic on the event loop; ``make_op`` is
-        also called before the executor submit, so anything it assigns
+        also called before the job is queued, so anything it assigns
         (the write sequence number) is ordered exactly like execution.
         """
         if tenant.pending >= tenant.config.max_queue:
@@ -711,10 +749,10 @@ class RPQServer:
         tenant.served["max_pending"] = max(
             tenant.served["max_pending"], tenant.pending
         )
-        op = make_op()
-        loop = asyncio.get_running_loop()
+        future = asyncio.get_running_loop().create_future()
+        tenant.jobs.put((make_op(), future))
         try:
-            result = await loop.run_in_executor(tenant.executor, op)
+            result = await future
         except Exception as exc:
             tenant.served["errors"] += 1
             self.stats["errors"] += 1

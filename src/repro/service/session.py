@@ -91,7 +91,7 @@ class QuerySession:
             store.add("v", "x", "y")
 
     (The serving front end gets this for free by confining each tenant's
-    session and store to one executor thread; see
+    session and store to the tenant's one drain thread; see
     :mod:`repro.service.server`.)
     """
 

@@ -1,6 +1,6 @@
 """Fault injection against the serving front end.
 
-Four failure families, each of which must degrade — never corrupt:
+Five failure families, each of which must degrade — never corrupt:
 
 * a broken sharded kernel cannot reach a tenant, which answers on the
   sequential incremental path with byte-identical answers;
@@ -12,13 +12,18 @@ Four failure families, each of which must degrade — never corrupt:
 * malformed or hostile request framing — lie-length or oversized
   bodies, unparseable ``Content-Length``, unbounded header blocks — is
   rejected with 413/400 before any body buffering, and the server keeps
-  serving well-formed traffic afterwards.
+  serving well-formed traffic afterwards;
+* a tenant op that raises is one 500 on its own thread, and a shutdown
+  that lands while writes queue behind a busy tenant thread applies
+  them all first.
 """
 
 from __future__ import annotations
 
+import asyncio
 import json
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -27,6 +32,7 @@ import pytest
 from repro.rpq import Theory
 from repro.rpq import sharded as sharded_mod
 from repro.service import RPQServer, TenantConfig, run_in_thread
+from repro.service.server import Tenant
 
 
 def _request(url: str, method: str, path: str, payload=None):
@@ -146,7 +152,7 @@ class TestAdmissionOverflow:
 
             # Deterministically wedge the tenant thread (below admission:
             # the pending counter is untouched), then fill the queue.
-            tenant.executor.submit(blocker)
+            tenant.jobs.put((blocker, None))
             assert occupied.wait(timeout=30)
 
             results: list[tuple[int, dict]] = []
@@ -212,6 +218,161 @@ class TestAdmissionOverflow:
         finally:
             release.set()
             handle.stop()
+
+
+def _insert(source: str) -> dict:
+    return {"ops": [{"op": "insert", "symbol": "q1", "source": source, "target": "v"}]}
+
+
+class TestTenantThreads:
+    def test_each_tenant_runs_every_op_on_its_own_thread(self, monkeypatch):
+        """Confinement: all of one tenant's queries and writes run on one
+        thread, which is neither the event loop's nor another tenant's."""
+        seen: dict[str, set[threading.Thread]] = {"alpha": set(), "beta": set()}
+        for name in ("run_query", "run_update"):
+            original = getattr(Tenant, name)
+
+            def spy(self, *args, _original=original):
+                seen[self.name].add(threading.current_thread())
+                return _original(self, *args)
+
+            monkeypatch.setattr(Tenant, name, spy)
+        server = RPQServer({"alpha": _config(), "beta": _config()})
+        handle = run_in_thread(server)
+        try:
+            for tenant in ("alpha", "beta", "alpha", "beta"):
+                for index in range(3):
+                    path = f"/tenants/{tenant}"
+                    status, _ = _request(
+                        handle.url, "POST", path + "/update", _insert(f"x{index}")
+                    )
+                    assert status == 200
+                    for query in ({"query": "a.b"}, {"query": "a", "source": "u"}):
+                        status, _ = _request(handle.url, "POST", path + "/query", query)
+                        assert status == 200
+        finally:
+            handle.stop()
+        (alpha,), (beta,) = seen["alpha"], seen["beta"]
+        assert alpha is not beta
+        assert threading.main_thread() not in (alpha, beta)
+        assert handle._thread not in (alpha, beta)  # the event loop's thread
+        # Lifecycle: stop() joined both, and a second close is harmless.
+        assert not alpha.is_alive() and not beta.is_alive()
+        for tenant in server.tenants.values():
+            tenant.close()
+
+    def test_a_raising_op_is_a_500_and_the_next_request_serves(self, monkeypatch):
+        original = Tenant.run_query
+        calls = []
+
+        def flaky(self, *args):
+            calls.append(args)
+            if len(calls) == 1:
+                raise RuntimeError("injected")
+            return original(self, *args)
+
+        monkeypatch.setattr(Tenant, "run_query", flaky)
+        server = RPQServer({"alpha": _config()})
+        handle = run_in_thread(server)
+        try:
+            status, body = _request(
+                handle.url, "POST", "/tenants/alpha/query", {"query": "a.b"}
+            )
+            assert (status, body) == (500, {"error": "RuntimeError: injected"})
+            status, body = _request(
+                handle.url, "POST", "/tenants/alpha/query", {"query": "a.b"}
+            )
+            assert status == 200
+            assert body["answers"] == [["u", "z"], ["w", "z"]]
+            _, stats = _request(handle.url, "GET", "/stats")
+            assert stats["server"]["errors"] == 1
+            assert stats["tenants"]["alpha"]["served"]["errors"] == 1
+            assert stats["tenants"]["alpha"]["served"]["queries"] == 1
+            assert stats["tenants"]["alpha"]["pending"] == 0
+        finally:
+            handle.stop()
+
+    def test_a_cancelled_waiter_does_not_cancel_its_admitted_write(self):
+        """The job runs, and settling its cancelled future is skipped
+        without an error on the loop."""
+        server = RPQServer({"alpha": _config()})
+        tenant = server.tenants["alpha"]
+        release = threading.Event()
+        tenant.jobs.put((lambda: release.wait(timeout=60), None))
+        loop_errors: list[dict] = []
+
+        async def scenario() -> None:
+            asyncio.get_running_loop().set_exception_handler(
+                lambda _loop, context: loop_errors.append(context)
+            )
+            body = json.dumps(_insert("late")).encode()
+            waiter = asyncio.create_task(
+                server._dispatch("POST", "/tenants/alpha/update", body)
+            )
+            await asyncio.sleep(0)  # the waiter runs up to its await
+            assert tenant.pending == 1
+            waiter.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await waiter
+            release.set()
+            done = asyncio.get_running_loop().create_future()
+            tenant.jobs.put((lambda: None, done))
+            await done  # every job queued before this one has run and settled
+            await server.aclose()
+
+        asyncio.run(scenario())
+        assert ("late", "v") in tenant.store.extension("q1")
+        assert tenant.write_seq == 1 and tenant.pending == 0
+        assert loop_errors == []
+
+    def test_writes_queued_behind_a_wedged_tenant_survive_shutdown(self, tmp_path):
+        """/shutdown while writes wait behind a busy tenant thread: every
+        queued write is applied and acked, and a restart recovers them."""
+        server = RPQServer({"alpha": _config()}, data_dir=tmp_path)
+        handle = run_in_thread(server)
+        release = threading.Event()
+        occupied = threading.Event()
+        statuses: list[int] = []
+        try:
+            tenant = server.tenants["alpha"]
+
+            def blocker():
+                occupied.set()
+                assert release.wait(timeout=60)
+
+            tenant.jobs.put((blocker, None))
+            assert occupied.wait(timeout=30)
+
+            def write(index: int) -> None:
+                status, _ = _request(
+                    handle.url, "POST", "/tenants/alpha/update", _insert(f"q{index}")
+                )
+                statuses.append(status)
+
+            writers = [threading.Thread(target=write, args=(i,)) for i in range(5)]
+            for thread in writers:
+                thread.start()
+            deadline = time.monotonic() + 30
+            while tenant.pending < 5:
+                assert time.monotonic() < deadline, "writes never queued"
+                time.sleep(0.01)
+            assert _request(handle.url, "POST", "/shutdown", {})[0] == 200
+            release.set()
+            for thread in writers:
+                thread.join(timeout=60)
+        finally:
+            release.set()
+            handle.stop()
+        assert statuses == [200] * 5
+        restarted = RPQServer({"alpha": _config(extensions={})}, data_dir=tmp_path)
+        with run_in_thread(restarted) as again:
+            status, body = _request(
+                again.url, "POST", "/tenants/alpha/query", {"query": "a.b"}
+            )
+        assert status == 200
+        assert sorted(body["answers"]) == sorted(
+            [["u", "z"], ["w", "z"]] + [[f"q{i}", "z"] for i in range(5)]
+        )
 
 
 def _raw_exchange(server, head: str, body: bytes = b"") -> tuple[int, dict]:
