@@ -21,12 +21,21 @@ exposed only through :meth:`node_id` / :meth:`node_at` for the engine.
 
 from __future__ import annotations
 
+import gc
 import random
+import threading
 from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 __all__ = ["GraphDB", "random_graph", "path_graph"]
 
 Edge = tuple[Hashable, Hashable, Hashable]  # (source, label, target)
+
+
+# pairs_at pauses the cyclic collector while it builds: one count for all
+# threads, since per-call save/restores race (one thread's restart between
+# another's check and its stop would leave the collector off for good).
+_pause_lock = threading.Lock()
+_pause = {"depth": 0, "was_on": False}
 
 
 class GraphDB:
@@ -260,7 +269,20 @@ class GraphDB:
         """``[(node_at(s), node_at(t)), ...]`` for two parallel dense-id
         arrays: where a decoded answer's ids become node pairs."""
         nodes = self.node_array()
-        return list(zip(nodes[sources].tolist(), nodes[targets].tolist()))
+        # New tuples would start a collection every 700; they hold only
+        # interned nodes, so no cycle can form while the collector waits.
+        with _pause_lock:
+            if not _pause["depth"]:
+                _pause["was_on"] = gc.isenabled()
+                gc.disable()
+            _pause["depth"] += 1
+        try:
+            return list(zip(nodes[sources].tolist(), nodes[targets].tolist()))
+        finally:
+            with _pause_lock:
+                _pause["depth"] -= 1
+                if not _pause["depth"] and _pause["was_on"]:
+                    gc.enable()
 
     def label_out_index(self, label: Hashable) -> Mapping[int, set[int]]:
         """The forward adjacency ``source_id -> target ids`` for one label."""

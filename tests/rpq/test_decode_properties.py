@@ -4,17 +4,28 @@
 through ``kernel.decode_masks``) and ``GraphDB.pairs_at`` the only bulk
 id -> node mapping.  Held here to references that share no code with them:
 an unpack-everything transpose for the decoder, the per-pair ``node_at``
-comprehension for the mapping.
+comprehension for the mapping.  ``pairs_at`` builds its list with the
+cyclic collector paused; ``TestCollectorPause`` holds it to leaving the
+collector as it found it, on one thread and across threads.
 """
 
+import gc
+import sys
+import threading
+import time
+from types import SimpleNamespace
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.rpq import RPQ, GraphDB
 from repro.rpq import engine as engine_mod
+from repro.rpq import graphdb as graphdb_mod
 from repro.rpq import kernel as kernel_mod
 from repro.rpq.csr import blocks_for
+from repro.rpq.sharded import ParallelEvaluator
 
 from ..conftest import id_pairs
 
@@ -118,11 +129,15 @@ class TestPairsAt:
             sources = data.draw(ids)
             targets = data.draw(st.lists(st.integers(0, db.num_nodes - 1),
                                          min_size=len(sources), max_size=len(sources)))
-            got = db.pairs_at(
-                np.array(sources, dtype=np.int64), np.array(targets, dtype=np.int64)
-            )
+            source_ids = np.array(sources, dtype=np.int64)
+            target_ids = np.array(targets, dtype=np.int64)
+            got = db.pairs_at(source_ids, target_ids)
             expected = _per_pair(db, sources, targets)
             assert got == expected
+            nodes = db.node_array()
+            assert got == list(
+                zip(nodes[source_ids].tolist(), nodes[target_ids].tolist())
+            )
             # the interned objects themselves, no numpy scalar in their place
             assert all(x is u and y is v for (x, y), (u, v) in zip(got, expected))
             for node in data.draw(names):
@@ -132,6 +147,151 @@ class TestPairsAt:
         db = GraphDB(nodes=[(1, 2), (3, 4)])  # a list numpy would read as 2-D
         assert db.node_array().shape == (2,)
         assert db.pairs_at(np.array([1]), np.array([0])) == [((3, 4), (1, 2))]
+        empty = np.array([], dtype=np.int64)
+        assert db.pairs_at(empty, empty) == []
+
+
+def _collections_during(build) -> int:
+    """How many cyclic collections start while ``build()`` runs."""
+    starts = []
+
+    def hook(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.collect()  # the young generation starts empty
+    gc.callbacks.append(hook)
+    try:
+        build()
+    finally:
+        gc.callbacks.remove(hook)
+    return len(starts)
+
+
+@pytest.fixture()
+def collector_enabled():
+    """Each test below starts with the collector on; afterwards, pass or
+    fail, it is put back as it was."""
+    was_enabled = gc.isenabled()
+    gc.enable()
+    yield
+    (gc.enable if was_enabled else gc.disable)()
+
+
+@pytest.mark.usefixtures("collector_enabled")
+class TestCollectorPause:
+    """``pairs_at`` stops the cyclic collector for its list build (every
+    700 new tuples would start one) and restarts it only if it ran."""
+
+    def setup_method(self):
+        self.db = GraphDB(nodes=[f"n{i}" for i in range(1000)])
+        rng = np.random.default_rng(7)
+        self.sources = rng.integers(0, 1000, 50_000)
+        self.targets = rng.integers(0, 1000, 50_000)
+
+    def test_no_collection_runs_during_a_large_build(self):
+        nodes = self.db.node_array()
+        sources = nodes[self.sources].tolist()
+        targets = nodes[self.targets].tolist()
+        # The control: the same 50 000 tuples built unpaused start dozens.
+        assert _collections_during(lambda: list(zip(sources, targets))) >= 50
+        assert _collections_during(
+            lambda: self.db.pairs_at(self.sources, self.targets)
+        ) < 5
+
+    def test_an_enabled_collector_stays_enabled(self):
+        self.db.pairs_at(self.sources[:10], self.targets[:10])
+        assert gc.isenabled()
+
+    def test_a_callers_own_disable_is_kept(self):
+        gc.disable()
+        self.db.pairs_at(self.sources[:10], self.targets[:10])
+        assert not gc.isenabled()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_an_out_of_range_id_raises_and_restores(self, enabled):
+        if not enabled:
+            gc.disable()
+        too_far = np.array([0, self.db.num_nodes])
+        with pytest.raises(IndexError):
+            self.db.pairs_at(too_far, too_far)
+        assert gc.isenabled() is enabled
+
+    def test_threads_leave_the_collector_enabled(self):
+        """4 threads x 200 overlapping calls, switching every microsecond."""
+        sources, targets = self.sources[:2_000], self.targets[:2_000]
+        expected = self.db.pairs_at(sources, targets)
+        mismatches = []
+
+        def calls():
+            for _ in range(200):
+                if self.db.pairs_at(sources, targets) != expected:
+                    mismatches.append(threading.current_thread().name)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=calls) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert mismatches == []
+        assert gc.isenabled()
+
+    def test_a_restart_between_anothers_check_and_stop_is_kept(self, monkeypatch):
+        """The interleaving a per-call save/restore loses: B checks the
+        collector while A has it stopped, A restarts it, then B stops it
+        and, having found it stopped, never restarts it."""
+        b_checked, a_done = threading.Event(), threading.Event()
+
+        def disable():
+            gc.disable()
+            if threading.current_thread() is a:
+                b_checked.wait(timeout=0.2)  # B may check now, if it can
+
+        def isenabled():
+            enabled = gc.isenabled()
+            if threading.current_thread() is b:
+                b_checked.set()
+                a_done.wait(timeout=30)  # A finishes before B goes on
+            return enabled
+
+        monkeypatch.setattr(
+            graphdb_mod,
+            "gc",
+            SimpleNamespace(isenabled=isenabled, disable=disable, enable=gc.enable),
+        )
+        ids = (self.sources[:10], self.targets[:10])
+        a = threading.Thread(target=self.db.pairs_at, args=ids)
+        b = threading.Thread(target=self.db.pairs_at, args=ids)
+        a.start()
+        deadline = time.monotonic() + 30
+        while gc.isenabled() and a.is_alive():  # until A stops it
+            assert time.monotonic() < deadline
+            time.sleep(0.001)
+        b.start()
+        a.join(timeout=30)
+        a_done.set()
+        b.join(timeout=30)
+        assert not a.is_alive() and not b.is_alive()
+        assert gc.isenabled()
+
+    def test_a_parallel_evaluator_answer_leaves_the_collector_enabled(self):
+        db = GraphDB(
+            [(f"v{i}", "ab"[i % 2], f"v{(i * 7 + 3) % 60}") for i in range(240)]
+        )
+        compiled = engine_mod.compile_automaton(
+            RPQ("a.(a+b)*").eps_free_nfa(), None, db.domain()
+        )
+        with ParallelEvaluator(db, num_shards=2, workers=2) as evaluator:
+            answer = evaluator.evaluate_all_sorted(compiled)
+        assert answer == engine_mod.evaluate_all_sorted(db, compiled)
+        assert answer
+        assert gc.isenabled()
 
 
 @settings(max_examples=60, deadline=None)

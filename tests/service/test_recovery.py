@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import os
 import random
+from pathlib import Path
 
 import pytest
 
@@ -331,7 +332,7 @@ class TestRecoveryFuzz:
                 with open(file, "wb") as handle:
                     handle.write(blob)
             victim = rng.choice([os.fspath(wal_path)] + list(pristine_ckpts))
-            blob = bytearray(open(victim, "rb").read())
+            blob = bytearray(Path(victim).read_bytes())
             mode = rng.randrange(3)
             if mode == 0 and blob:  # bit flip
                 blob[rng.randrange(len(blob))] ^= 1 << rng.randrange(8)

@@ -32,6 +32,7 @@ import pytest
 from repro.rpq import Theory
 from repro.rpq import sharded as sharded_mod
 from repro.service import RPQServer, TenantConfig, run_in_thread
+from repro.service import server as server_mod
 from repro.service.server import Tenant
 
 
@@ -324,6 +325,58 @@ class TestTenantThreads:
         assert ("late", "v") in tenant.store.extension("q1")
         assert tenant.write_seq == 1 and tenant.pending == 0
         assert loop_errors == []
+
+    def test_aclose_waits_for_an_admitted_request_to_be_answered(self, monkeypatch):
+        """A non-durable tenant queues no shutdown checkpoint, so only the
+        in-flight wait keeps aclose from joining the tenant thread (which
+        blocks the loop) and returning before the response is written."""
+        server = RPQServer({"alpha": _config()})
+        tenant = server.tenants["alpha"]
+        release = threading.Event()
+        tenant.jobs.put((lambda: release.wait(timeout=60), None))
+        events: list[str] = []
+        encode = server_mod._encode_response
+
+        def encode_and_note(*args):
+            events.append("response")  # written in the same loop step
+            return encode(*args)
+
+        monkeypatch.setattr(server_mod, "_encode_response", encode_and_note)
+
+        async def scenario() -> bytes:
+            await server.start()
+            reader, writer = await asyncio.open_connection(server.host, server.port)
+            body = json.dumps({"query": "a.b"}).encode()
+            writer.write(
+                b"POST /tenants/alpha/query HTTP/1.1\r\n"
+                b"Content-Length: %d\r\nConnection: close\r\n\r\n" % len(body)
+                + body
+            )
+            await writer.drain()
+            deadline = time.monotonic() + 30
+            while tenant.pending < 1:  # admitted, queued behind the wedge
+                assert time.monotonic() < deadline, "request never admitted"
+                await asyncio.sleep(0.005)
+            closing = asyncio.create_task(server.aclose())
+            closing.add_done_callback(lambda _task: events.append("aclose"))
+            # From another thread: an aclose that skipped the wait would
+            # block this loop in the join until the wedge lifts.
+            timer = threading.Timer(0.1, release.set)
+            timer.start()
+            try:
+                await closing
+                response = await reader.read()
+            finally:
+                timer.join(timeout=30)
+                writer.close()
+                await writer.wait_closed()
+            return response
+
+        response = asyncio.run(scenario())
+        assert events == ["response", "aclose"]
+        head, _, payload = response.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 200")
+        assert json.loads(payload)["answers"] == [["u", "z"], ["w", "z"]]
 
     def test_writes_queued_behind_a_wedged_tenant_survive_shutdown(self, tmp_path):
         """/shutdown while writes wait behind a busy tenant thread: every

@@ -445,7 +445,7 @@ class TestServe:
         from pathlib import Path
 
         src = Path(__file__).resolve().parent.parent / "src"
-        proc = subprocess.Popen(
+        with subprocess.Popen(
             [
                 sys.executable, "-m", "repro", "serve",
                 "--port", "0",
@@ -456,33 +456,33 @@ class TestServe:
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             text=True,
-        )
-        try:
-            banner = proc.stdout.readline()
-            assert "serving 2 tenant(s) on http://" in banner
-            url = banner.strip().rsplit(" ", 1)[-1]
-            with urllib.request.urlopen(f"{url}/health", timeout=30) as resp:
-                health = json.load(resp)
-            assert set(health["tenants"]) == {"alpha", "beta"}
-            request = urllib.request.Request(
-                f"{url}/tenants/alpha/query",
-                data=json.dumps({"query": "a.b"}).encode(),
-                method="POST",
-            )
-            with urllib.request.urlopen(request, timeout=60) as resp:
-                body = json.load(resp)
-            assert body["version"] == health["tenants"]["alpha"]["version"]
-            assert isinstance(body["answers"], list)
-            request = urllib.request.Request(
-                f"{url}/shutdown", data=b"{}", method="POST"
-            )
-            with urllib.request.urlopen(request, timeout=30) as resp:
-                assert json.load(resp)["status"] == "shutting-down"
-            assert proc.wait(timeout=60) == 0
-        finally:
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait(timeout=30)
+        ) as proc:  # closes both pipes and waits on the way out
+            try:
+                banner = proc.stdout.readline()
+                assert "serving 2 tenant(s) on http://" in banner
+                url = banner.strip().rsplit(" ", 1)[-1]
+                with urllib.request.urlopen(f"{url}/health", timeout=30) as resp:
+                    health = json.load(resp)
+                assert set(health["tenants"]) == {"alpha", "beta"}
+                request = urllib.request.Request(
+                    f"{url}/tenants/alpha/query",
+                    data=json.dumps({"query": "a.b"}).encode(),
+                    method="POST",
+                )
+                with urllib.request.urlopen(request, timeout=60) as resp:
+                    body = json.load(resp)
+                assert body["version"] == health["tenants"]["alpha"]["version"]
+                assert isinstance(body["answers"], list)
+                request = urllib.request.Request(
+                    f"{url}/shutdown", data=b"{}", method="POST"
+                )
+                with urllib.request.urlopen(request, timeout=30) as resp:
+                    assert json.load(resp)["status"] == "shutting-down"
+                assert proc.wait(timeout=60) == 0
+            finally:
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.wait(timeout=30)
 
     def test_shard_and_worker_flags_rejected(self, capsys):
         for flag in ("--shards", "--workers"):
